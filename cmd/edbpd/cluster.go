@@ -105,11 +105,11 @@ func (s *server) dispatch(ctx context.Context, key string, req runRequest) (out 
 func (s *server) decodeNode(w http.ResponseWriter, r *http.Request) (cluster.Node, bool) {
 	var n cluster.Node
 	if err := json.NewDecoder(r.Body).Decode(&n); err != nil {
-		httpError(w, http.StatusBadRequest, "bad node body: %v", err)
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad node body: %v", err)
 		return n, false
 	}
 	if n.ID == "" || n.URL == "" {
-		httpError(w, http.StatusBadRequest, "node needs id and url, got %+v", n)
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "node needs id and url, got %+v", n)
 		return n, false
 	}
 	return n, true
@@ -132,7 +132,7 @@ func (s *server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 	if !s.members.Heartbeat(n.ID) {
 		// Unknown worker (we restarted, or it never joined): 404 tells it
 		// to re-join rather than keep heartbeating into the void.
-		httpError(w, http.StatusNotFound, "unknown worker %q — re-join", n.ID)
+		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown worker %q — re-join", n.ID)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -220,25 +220,25 @@ func gridViewOf(g *cluster.Grid) gridView {
 // blocks until every cell is terminal and returns the full result set.
 func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpUnavailable(w, drainRetryAfterSeconds, "draining")
+		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeDraining, "draining")
 		return
 	}
 	var greq gridRequest
 	if err := json.NewDecoder(r.Body).Decode(&greq); err != nil {
-		httpError(w, http.StatusBadRequest, "bad grid body: %v", err)
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad grid body: %v", err)
 		return
 	}
 	reqs, err := greq.expand()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "%v", err)
 		return
 	}
 	if len(reqs) == 0 {
-		httpError(w, http.StatusBadRequest, "empty grid")
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "empty grid")
 		return
 	}
 	if len(reqs) > maxGridEntries {
-		httpError(w, http.StatusBadRequest, "grid has %d cells (max %d)", len(reqs), maxGridEntries)
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "grid has %d cells (max %d)", len(reqs), maxGridEntries)
 		return
 	}
 	seen := make(map[string]bool, len(reqs))
@@ -246,7 +246,7 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	for i, req := range reqs {
 		req = req.normalize()
 		if _, err := req.config(); err != nil {
-			httpError(w, http.StatusBadRequest, "cell %d: %v", i, err)
+			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "cell %d: %v", i, err)
 			return
 		}
 		key := req.hash()
@@ -256,13 +256,13 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		seen[key] = true
 		body, err := json.Marshal(req)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "cell %d: %v", i, err)
+			httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "cell %d: %v", i, err)
 			return
 		}
 		entries = append(entries, cluster.GridEntry{Key: key, Body: body})
 	}
 	if s.members.AliveCount() == 0 {
-		httpUnavailable(w, drainRetryAfterSeconds, "no live workers — grids need a fleet (POST /cluster/join)")
+		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeNoWorkers, "no live workers — grids need a fleet (POST /cluster/join)")
 		return
 	}
 
@@ -317,7 +317,7 @@ func (s *server) loadGrid(w http.ResponseWriter, r *http.Request) (*cluster.Grid
 	id := r.PathValue("id")
 	v, ok := s.grids.Load(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown grid %q", id)
+		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown grid %q", id)
 		return nil, false
 	}
 	return v.(*gridRecord).grid, true
@@ -344,18 +344,14 @@ func (s *server) handleGridStream(w http.ResponseWriter, r *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "streaming unsupported")
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
+	// Subscribe before the headers go out: a client that has the 200 in
+	// hand misses no event emitted after it.
 	events, cancel := g.Subscribe()
 	defer cancel()
+	startSSE(w, fl)
 	for {
 		select {
 		case <-r.Context().Done():

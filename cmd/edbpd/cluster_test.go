@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -384,8 +385,13 @@ func TestClusterSingleRunDispatch(t *testing.T) {
 // every cell yields one "entry", and the stream terminates with "done".
 func TestClusterGridStream(t *testing.T) {
 	coord := newClusterCoordinator(t)
-	w := newClusterWorker(t, "w1", nil)
+	// The worker holds every cell until the stream is subscribed: a cell
+	// can finish in a millisecond, and the hub replays nothing.
+	gate := make(chan struct{})
+	w := newClusterWorker(t, "w1", gate)
 	defer drainWorker(t, w)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
 	joinWorker(t, coord, "w1", w.ts.URL)
 
 	var accepted struct {
@@ -404,6 +410,7 @@ func TestClusterGridStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("stream Content-Type = %q", ct)
 	}
+	release()
 
 	entries, done := 0, false
 	err = func() error {

@@ -26,14 +26,14 @@ const scrapeTimeout = 2 * time.Second
 // ?format=chrome. The coordinator's federation endpoints scrape it.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.spans == nil {
-		httpError(w, http.StatusNotFound, "span recording disabled (start edbpd without -span-off)")
+		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "span recording disabled (start edbpd without -span-off)")
 		return
 	}
 	var filter span.TraceID
 	if v := r.URL.Query().Get("trace"); v != "" {
 		t, ok := span.ParseTraceID(v)
 		if !ok {
-			httpError(w, http.StatusBadRequest, "bad trace id %q (want 32 hex chars)", v)
+			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad trace id %q (want 32 hex chars)", v)
 			return
 		}
 		filter = t
@@ -52,7 +52,7 @@ func writeSpans(w http.ResponseWriter, r *http.Request, recs []span.Record) {
 		w.Header().Set("Content-Type", "application/json")
 		span.WriteChromeTrace(w, recs)
 	default:
-		httpError(w, http.StatusBadRequest, "bad format %q (want jsonl or chrome)", r.URL.Query().Get("format"))
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad format %q (want jsonl or chrome)", r.URL.Query().Get("format"))
 	}
 }
 
@@ -187,12 +187,12 @@ func (s *server) handleGridTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	v, ok := s.grids.Load(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown grid %q", id)
+		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown grid %q", id)
 		return
 	}
 	gr := v.(*gridRecord)
 	if gr.trace.IsZero() || s.spans == nil {
-		httpError(w, http.StatusNotFound, "grid %q has no trace (span recording disabled)", id)
+		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "grid %q has no trace (span recording disabled)", id)
 		return
 	}
 

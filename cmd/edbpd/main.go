@@ -11,6 +11,12 @@
 //	                 config ({"app":"crc32","scheme":"edbp",...}), the
 //	                 response the Result JSON. With ?async=1 the job enters
 //	                 a bounded queue and the response is 202 + a job id.
+//	                 With ?stream=1 the job enters the same queue and the
+//	                 response is Server-Sent Events: the run's "gauge"
+//	                 frames, then exactly one "result" frame (the Result
+//	                 JSON) or "error" frame (the error JSON below); closing
+//	                 the stream cancels the run. Coordinators dispatch
+//	                 with it.
 //	GET  /jobs/{id}  poll an async job: queued | running | done | failed.
 //	GET  /healthz    liveness; 503 once the server starts draining.
 //	GET  /metrics    the internal/obs registry in Prometheus text format
@@ -35,6 +41,13 @@
 //	                 W3C traceparent header join the caller's trace; the
 //	                 minted/continued traceparent is echoed back.
 //	GET  /debug/pprof/*  net/http/pprof, only when -pprof is set.
+//
+// Errors: every error response is {"error": "...", "code": "..."} with a
+// stable code: bad_request, not_found, queue_full and draining (503 with
+// Retry-After), no_workers, run_failed, timeout, or internal; a failed
+// queued job also reports run_failed, timeout or drain_aborted, in its
+// /jobs/{id} snapshot or its stream's "error" frame. Clients branch on
+// the status and the code, never on the message.
 //
 // Logging: every binary in this repo takes -log-level (debug|info|warn|
 // error) and -log-format (text|json). Text keeps the historical
@@ -75,8 +88,10 @@
 // dispatches to. Each worker's result cache and -store shard hold exactly
 // the config hashes the ring routes to it, so the fleet's stores form a
 // partitioned, disjoint result set (audited via store.ConfigHashes).
-// Workers that die mid-job are marked dead and their cells re-dispatched
-// to the next ring owner (retry-with-exclusion); a coordinator with no
+// Each dispatched cell is one POST /run?stream=1; a worker that dies
+// mid-job drops its streams, is marked dead, and its cells are
+// re-dispatched to the next ring owner (retry-with-exclusion); a
+// coordinator with no
 // live workers falls back to simulating locally. -node-id stamps every
 // metrics series with a node="..." label so fleet dashboards aggregate.
 //

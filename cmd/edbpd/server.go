@@ -157,7 +157,8 @@ func parseScheme(s string) (sim.Scheme, error) {
 	}
 }
 
-// runOutput is the Result JSON returned by POST /run and GET /jobs/{id}.
+// runOutput is the Result JSON returned by POST /run, GET /jobs/{id} and
+// the "result" frame of POST /run?stream=1.
 // Field names are stable; cmd/edbpsim -json uses the same vocabulary.
 type runOutput struct {
 	App    string `json:"app"`
@@ -221,7 +222,7 @@ func output(req runRequest, res *sim.Result) *runOutput {
 }
 
 // liveRun exposes an in-flight simulation's trace recorder to the SSE
-// stream handler. done closes when the run finishes (success or failure),
+// stream handlers. done closes when the run finishes (success or failure),
 // after which the recorder is quiescent and its last sample stays
 // readable.
 type liveRun struct {
@@ -230,28 +231,70 @@ type liveRun struct {
 	done  chan struct{}
 }
 
-// job tracks one async run through the bounded queue.
+// job tracks one queued run (async or streamed) through the bounded queue.
 type job struct {
 	ID     string     `json:"id"`
 	Status string     `json:"status"` // queued | running | done | failed
 	Result *runOutput `json:"result,omitempty"`
 	Error  string     `json:"error,omitempty"`
+	Code   string     `json:"code,omitempty"` // error code of a failed job
 	req    runRequest
 	mu     sync.Mutex
 	done   chan struct{}
 
+	// ctx bounds the run: context.Background for an async job, which
+	// outlives its request, and the request's own context for a streamed
+	// run, which has no reader once the request ends.
+	ctx        context.Context
 	enqueuedAt time.Time
-	// parent is the submitting request's span context: the async
-	// worker's queue-wait and run spans nest under it even though the
+	// parent is the submitting request's span context: the worker's
+	// queue-wait and run spans nest under it even though an async job's
 	// HTTP request span itself ends at the 202.
 	parent span.Context
-	live   atomic.Pointer[liveRun] // set once the worker starts simulating
+	// attached closes once the worker has set live, the in-flight
+	// simulation's view; live is read only after attached closes.
+	attached chan struct{}
+	live     *liveRun
+}
+
+// newJob makes a queued job for req whose run is bounded by ctx.
+func (s *server) newJob(ctx context.Context, req runRequest, parent span.Context) *job {
+	return &job{
+		ID:         fmt.Sprintf("job-%d", s.nextID.Add(1)),
+		Status:     "queued",
+		req:        req,
+		done:       make(chan struct{}),
+		ctx:        ctx,
+		enqueuedAt: time.Now(),
+		parent:     parent,
+		attached:   make(chan struct{}),
+	}
 }
 
 func (j *job) snapshot() job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return job{ID: j.ID, Status: j.Status, Result: j.Result, Error: j.Error}
+	return job{ID: j.ID, Status: j.Status, Result: j.Result, Error: j.Error, Code: j.Code}
+}
+
+// awaitLive waits until the worker attaches j's live run and returns it.
+// It returns nil when j ends without one (cache hit, failure, drain abort)
+// or ctx ends first.
+func (j *job) awaitLive(ctx context.Context) *liveRun {
+	select {
+	case <-j.attached:
+		return j.live
+	case <-j.done:
+	case <-ctx.Done():
+		return nil
+	}
+	// j may have attached a run and then finished.
+	select {
+	case <-j.attached:
+		return j.live
+	default:
+		return nil
+	}
 }
 
 // start moves a queued job to running. It refuses when the job is already
@@ -281,6 +324,7 @@ func (j *job) finish(out *runOutput, err error) bool {
 	if err != nil {
 		j.Status = "failed"
 		j.Error = err.Error()
+		j.Code = runErrorCode(err)
 	} else {
 		j.Status = "done"
 		j.Result = out
@@ -518,9 +562,9 @@ func (s *server) worker() {
 			qs.Attr("job", j.ID)
 			qs.End()
 		}
-		// Async jobs run to completion even during drain; only the
-		// per-run deadline bounds them.
-		ctx, cancel := context.WithTimeout(context.Background(), s.opts.runTimeout)
+		// Jobs run to completion even during drain; only the per-run
+		// deadline and, for a streamed run, its reader leaving stop them.
+		ctx, cancel := context.WithTimeout(j.ctx, s.opts.runTimeout)
 		if j.parent.Valid() {
 			ctx = span.With(ctx, j.parent)
 		}
@@ -539,8 +583,9 @@ func (s *server) worker() {
 // run executes one simulation, consulting and feeding the config-hash
 // result cache. Cached replays skip the simulator entirely; fresh runs
 // additionally reuse the process-wide workload.Cached / energy.CachedTrace
-// memoization underneath sim.RunContext. j, when non-nil, is the async job
-// this run belongs to: its live view is published for GET /stream.
+// memoization underneath sim.RunContext. j, when non-nil, is the queued job
+// this run belongs to: its live view is attached for GET /stream and the
+// run stream.
 func (s *server) run(ctx context.Context, req runRequest, j *job) (out *runOutput, err error) {
 	key := req.hash()
 	rs := s.spans.Start(span.FromCtx(ctx), "run")
@@ -591,7 +636,8 @@ func (s *server) run(ctx context.Context, req runRequest, j *job) (out *runOutpu
 	defer close(lr.done)
 	s.lastLive.Store(lr)
 	if j != nil {
-		j.live.Store(lr)
+		j.live = lr
+		close(j.attached)
 	}
 	start := time.Now()
 	ss := s.spans.Start(rs.Ctx(), "simulate")
@@ -638,10 +684,22 @@ func traceIDString(c span.Context) string {
 	return c.Trace.String()
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+// httpError answers with edbpd's error JSON: the message and a stable
+// error code (the cluster.Code constants) that clients branch on.
+func httpError(w http.ResponseWriter, status int, code, format string, args ...any) {
+	writeJSON(w, status, cluster.ErrorBody{Error: fmt.Sprintf(format, args...), Code: code})
+}
+
+// runErrorCode is the error code of a run that returned err.
+func runErrorCode(err error) string {
+	switch {
+	case errors.Is(err, errDrainAborted):
+		return cluster.CodeDrainAborted
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return cluster.CodeTimeout
+	default:
+		return cluster.CodeRunFailed
+	}
 }
 
 // drainRetryAfterSeconds is the Retry-After clients get while the server
@@ -652,9 +710,9 @@ const drainRetryAfterSeconds = 5
 // httpUnavailable is a 503 with an explicit Retry-After, so intake
 // rejection during drain (or a momentarily full queue) is a deterministic,
 // machine-actionable backpressure signal instead of a bare error.
-func httpUnavailable(w http.ResponseWriter, retryAfterSeconds int, format string, args ...any) {
+func httpUnavailable(w http.ResponseWriter, retryAfterSeconds int, code, format string, args ...any) {
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	httpError(w, http.StatusServiceUnavailable, format, args...)
+	httpError(w, http.StatusServiceUnavailable, code, format, args...)
 }
 
 // Typed intake-rejection reasons for tryEnqueue.
@@ -687,6 +745,23 @@ func (s *server) tryEnqueue(j *job) error {
 	}
 }
 
+// enqueue places j in the bounded queue, or answers 503 with Retry-After
+// and the reason's code. It reports whether j was queued.
+func (s *server) enqueue(w http.ResponseWriter, j *job) bool {
+	switch err := s.tryEnqueue(j); {
+	case err == nil:
+		return true
+	case errors.Is(err, errDraining):
+		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeDraining, "draining")
+	default:
+		if s.met != nil {
+			s.met.queueFull.Inc()
+		}
+		httpUnavailable(w, 1, cluster.CodeQueueFull, "queue full (%d deep)", s.opts.queueDepth)
+	}
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -696,42 +771,33 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // handleRun serves POST /run. The default is synchronous: the simulation
 // runs under the request's context plus the per-run timeout and the Result
 // JSON is the response. With ?async=1 the job enters the bounded queue and
-// the response is 202 with the job id for GET /jobs/{id}.
+// the response is 202 with the job id for GET /jobs/{id}. With ?stream=1
+// the job enters the same queue and the response streams it (streamRun).
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpUnavailable(w, drainRetryAfterSeconds, "draining")
+		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeDraining, "draining")
 		return
 	}
 	var req runRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad request body: %v", err)
 		return
 	}
 	req = req.normalize()
 	if _, err := req.config(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "%v", err)
 		return
 	}
 
-	if r.URL.Query().Get("async") != "" {
-		j := &job{
-			ID:         fmt.Sprintf("job-%d", s.nextID.Add(1)),
-			Status:     "queued",
-			req:        req,
-			done:       make(chan struct{}),
-			enqueuedAt: time.Now(),
-			parent:     span.FromCtx(r.Context()),
-		}
-		switch err := s.tryEnqueue(j); {
-		case err == nil:
+	q := r.URL.Query()
+	if q.Get("stream") != "" {
+		s.streamRun(w, r, req)
+		return
+	}
+	if q.Get("async") != "" {
+		j := s.newJob(context.Background(), req, span.FromCtx(r.Context()))
+		if s.enqueue(w, j) {
 			writeJSON(w, http.StatusAccepted, j.snapshot())
-		case errors.Is(err, errDraining):
-			httpUnavailable(w, drainRetryAfterSeconds, "draining")
-		default:
-			if s.met != nil {
-				s.met.queueFull.Inc()
-			}
-			httpUnavailable(w, 1, "queue full (%d deep)", s.opts.queueDepth)
 		}
 		return
 	}
@@ -740,14 +806,58 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	out, err := s.run(ctx, req, nil)
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = http.StatusGatewayTimeout
+		code := runErrorCode(err)
+		status := http.StatusInternalServerError
+		if code == cluster.CodeTimeout {
+			status = http.StatusGatewayTimeout
 		}
-		httpError(w, code, "%v", err)
+		httpError(w, status, code, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// runStreamInterval is how often a streamed run's live gauge is sampled.
+// A grid cell usually finishes within one interval, so its stream carries
+// only the final sample.
+const runStreamInterval = 25 * time.Millisecond
+
+// streamRun serves POST /run?stream=1, the coordinator's one request per
+// dispatched run. The job waits in the bounded queue like an async job
+// (503 queue_full or draining when it cannot), and the response is a
+// Server-Sent Events stream: the run's "gauge" frames, then exactly one
+// terminal frame, "result" with the Result JSON or "error" with the error
+// JSON. The run belongs to the request: when the client leaves, a queued
+// job is never started and a running one is canceled. The job stays in
+// s.jobs, where a drain abort finds it, only until its stream ends.
+func (s *server) streamRun(w http.ResponseWriter, r *http.Request, req runRequest) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "streaming unsupported")
+		return
+	}
+	ctx := r.Context()
+	j := s.newJob(ctx, req, span.FromCtx(ctx))
+	if !s.enqueue(w, j) {
+		return
+	}
+	defer s.jobs.Delete(j.ID)
+	startSSE(w, fl)
+	if lr := j.awaitLive(ctx); lr != nil {
+		streamGauges(ctx, w, fl, lr, runStreamInterval)
+	}
+	select {
+	case <-j.done:
+	case <-ctx.Done():
+		j.finish(nil, ctx.Err())
+		return
+	}
+	snap := j.snapshot()
+	if snap.Status == "done" {
+		writeEvent(w, fl, "result", snap.Result)
+	} else {
+		writeEvent(w, fl, "error", cluster.ErrorBody{Error: snap.Error, Code: snap.Code})
+	}
 }
 
 // validJobID reports whether id has the shape handleRun issues ("job-" + a
@@ -772,12 +882,12 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// well-formed id it simply doesn't know — clients retrying a 404 might
 	// be early; retrying a 400 is pointless.
 	if !validJobID(id) {
-		httpError(w, http.StatusBadRequest, "malformed job id %q (want job-<n>)", id)
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "malformed job id %q (want job-<n>)", id)
 		return
 	}
 	v, ok := s.jobs.Load(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", id)
+		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown job %q", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, v.(*job).snapshot())
@@ -798,7 +908,7 @@ type storedRun struct {
 // exact round trip against it.
 func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if s.opts.store == nil {
-		httpError(w, http.StatusNotFound, "no experiment store configured (start edbpd with -store)")
+		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "no experiment store configured (start edbpd with -store)")
 		return
 	}
 	q := r.URL.Query()
@@ -812,7 +922,7 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("seed"); v != "" {
 		seed, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad seed %q", v)
+			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad seed %q", v)
 			return
 		}
 		f.Seed = &seed
@@ -820,7 +930,7 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "bad limit %q", v)
+			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad limit %q", v)
 			return
 		}
 		f.Limit = n
@@ -828,16 +938,16 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 
 	if q.Get("format") == "raw" {
 		if f.ConfigHash == "" {
-			httpError(w, http.StatusBadRequest, "format=raw needs config_hash")
+			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "format=raw needs config_hash")
 			return
 		}
 		raw, _, ok, err := s.opts.store.RawByHash(f.ConfigHash)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "%v", err)
 			return
 		}
 		if !ok {
-			httpError(w, http.StatusNotFound, "no stored run for config hash %q", f.ConfigHash)
+			httpError(w, http.StatusNotFound, cluster.CodeNotFound, "no stored run for config hash %q", f.ConfigHash)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -847,7 +957,7 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 
 	runs, err := s.opts.store.Select(f)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "%v", err)
 		return
 	}
 	out := make([]storedRun, 0, len(runs))
@@ -863,24 +973,24 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // plain text cmd/experiments emits.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.opts.store == nil {
-		httpError(w, http.StatusNotFound, "no experiment store configured (start edbpd with -store)")
+		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "no experiment store configured (start edbpd with -store)")
 		return
 	}
 	stmt := r.URL.Query().Get("q")
 	if stmt == "" {
-		httpError(w, http.StatusBadRequest, "missing query parameter q")
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "missing query parameter q")
 		return
 	}
 	parsed, err := store.ParseQuery(stmt)
 	if err != nil {
 		s.met.observeStoreQuery(false)
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "%v", err)
 		return
 	}
 	table, err := s.opts.store.Execute(r.Context(), parsed)
 	if err != nil {
 		s.met.observeStoreQuery(false)
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		httpError(w, http.StatusUnprocessableEntity, cluster.CodeBadRequest, "%v", err)
 		return
 	}
 	s.met.observeStoreQuery(true)
@@ -897,7 +1007,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpUnavailable(w, drainRetryAfterSeconds, "draining")
+		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeDraining, "draining")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -944,14 +1054,14 @@ type gaugeFrame struct {
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "streaming unsupported")
 		return
 	}
 	interval := 100 * time.Millisecond
 	if v := r.URL.Query().Get("interval_ms"); v != "" {
 		ms, err := strconv.Atoi(v)
 		if err != nil || ms < 1 {
-			httpError(w, http.StatusBadRequest, "bad interval_ms %q", v)
+			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad interval_ms %q", v)
 			return
 		}
 		interval = time.Duration(ms) * time.Millisecond
@@ -961,67 +1071,61 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("job"); id != "" {
 		v, ok := s.jobs.Load(id)
 		if !ok {
-			httpError(w, http.StatusNotFound, "unknown job %q", id)
+			httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown job %q", id)
 			return
 		}
-		j := v.(*job)
-		// Wait for the worker to attach a live run. A job that finishes
-		// without one (cache hit, config error) yields an empty stream.
-		wait := time.NewTicker(time.Millisecond)
-		for lr = j.live.Load(); lr == nil; lr = j.live.Load() {
-			select {
-			case <-r.Context().Done():
-				wait.Stop()
-				return
-			case <-j.done:
-				lr = j.live.Load()
-			case <-wait.C:
-				continue
-			}
-			break
+		// A job that finishes without a live run (cache hit, config
+		// error) yields an empty stream.
+		if lr = v.(*job).awaitLive(r.Context()); r.Context().Err() != nil {
+			return
 		}
-		wait.Stop()
 	} else {
 		lr = s.lastLive.Load()
 		if lr == nil {
-			httpError(w, http.StatusNotFound, "no run in flight — start one with POST /run")
+			httpError(w, http.StatusNotFound, cluster.CodeNotFound, "no run in flight — start one with POST /run")
 			return
 		}
 	}
 
+	startSSE(w, fl)
+	if lr != nil {
+		streamGauges(r.Context(), w, fl, lr, interval)
+	}
+	// The run finished, or the client went away. Only a finished run earns
+	// the terminal event — writing to a gone client is pointless (and the
+	// write would just error into the void).
+	if r.Context().Err() == nil {
+		io.WriteString(w, "event: done\ndata: {}\n\n")
+		fl.Flush()
+	}
+}
+
+// startSSE sends the headers of a Server-Sent Events response.
+func startSSE(w http.ResponseWriter, fl http.Flusher) {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
+}
 
-	var frames <-chan gaugeFrame
-	if lr != nil {
-		// lr.done closes when the simulation returns (strictly before the
-		// job's own done), so it is the tighter signal for both paths.
-		frames = sampleRun(r.Context(), lr, interval, lr.done)
-	} else {
-		// The job finished without ever attaching a live run (cache hit or
-		// config error): serve an empty stream that closes immediately.
-		closed := make(chan gaugeFrame)
-		close(closed)
-		frames = closed
+// writeEvent writes one SSE event whose data is v as JSON.
+func writeEvent(w io.Writer, fl http.Flusher, event string, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return
 	}
-	for frame := range frames {
-		data, err := json.Marshal(frame)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(w, "event: gauge\ndata: %s\n\n", data)
-		fl.Flush()
-	}
-	// frames closed: the run finished, or the client went away. Only a
-	// finished run earns the terminal event — writing to a gone client is
-	// pointless (and the write would just error into the void).
-	if r.Context().Err() == nil {
-		io.WriteString(w, "event: done\ndata: {}\n\n")
-		fl.Flush()
+	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	fl.Flush()
+}
+
+// streamGauges writes a "gauge" event for each fresh sample of lr until
+// the run finishes (lr.done closes when the simulation returns, strictly
+// before its job's done) or ctx ends.
+func streamGauges(ctx context.Context, w io.Writer, fl http.Flusher, lr *liveRun, interval time.Duration) {
+	for frame := range sampleRun(ctx, lr, interval, lr.done) {
+		writeEvent(w, fl, "gauge", frame)
 	}
 }
 

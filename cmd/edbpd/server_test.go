@@ -8,8 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"edbp/internal/cluster"
 )
 
 func testServer(t *testing.T, opts serverOptions) (*server, *httptest.Server) {
@@ -261,5 +264,242 @@ func TestDrain(t *testing.T) {
 	// Drain is idempotent.
 	if err := s.Drain(ctx); err != nil {
 		t.Errorf("second drain: %v", err)
+	}
+}
+
+// sseEvent is one event of a Server-Sent Events response.
+type sseEvent struct {
+	name string
+	data []byte
+}
+
+// postStream sends POST /run?stream=1 under ctx. It returns the status,
+// the events of a 200 stream in order, and the error JSON of any other
+// status.
+func postStream(ctx context.Context, url, body string) (int, []sseEvent, cluster.ErrorBody, error) {
+	var e cluster.ErrorBody
+	req, err := http.NewRequestWithContext(ctx, "POST", url+"/run?stream=1", strings.NewReader(body))
+	if err != nil {
+		return 0, nil, e, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, e, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		err := json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, nil, e, err
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		return resp.StatusCode, nil, e, fmt.Errorf("Content-Type %q", ct)
+	}
+	var events []sseEvent
+	cluster.ParseSSE(resp.Body, func(name string, data []byte) {
+		events = append(events, sseEvent{name, data})
+	})
+	return resp.StatusCode, events, e, nil
+}
+
+// terminalFrame checks a run stream's grammar — gauge frames, then exactly
+// one terminal frame — and returns the terminal frame and the gauge count.
+func terminalFrame(t *testing.T, events []sseEvent) (sseEvent, int) {
+	t.Helper()
+	if len(events) == 0 {
+		t.Fatal("empty run stream")
+	}
+	for _, ev := range events[:len(events)-1] {
+		if ev.name != "gauge" {
+			t.Fatalf("%q frame before the end of the stream: %v", ev.name, events)
+		}
+	}
+	last := events[len(events)-1]
+	if last.name != "result" && last.name != "error" {
+		t.Fatalf("stream ends with %q, want result or error", last.name)
+	}
+	return last, len(events) - 1
+}
+
+// TestRunStream drives POST /run?stream=1: fresh runs stream gauge frames
+// and then their Result, a cache hit streams just the Result, a bad body
+// is a coded 400, and a streamed job leaves s.jobs once its stream ends
+// while an async job is kept for GET /jobs/{id}.
+func TestRunStream(t *testing.T) {
+	s, ts := testServer(t, serverOptions{workers: 1})
+	ctx := context.Background()
+	run := func(seed int) (runOutput, int) {
+		t.Helper()
+		body := fmt.Sprintf(`{"app":"crc32","scheme":"edbp","scale":0.05,"seed":%d}`, seed)
+		code, events, _, err := postStream(ctx, ts.URL, body)
+		if err != nil || code != http.StatusOK {
+			t.Fatalf("POST /run?stream=1 = %d, %v", code, err)
+		}
+		last, gauges := terminalFrame(t, events)
+		if last.name != "result" {
+			t.Fatalf("stream ended with %s %s", last.name, last.data)
+		}
+		var out runOutput
+		if err := json.Unmarshal(last.data, &out); err != nil {
+			t.Fatalf("bad result frame %s: %v", last.data, err)
+		}
+		return out, gauges
+	}
+	const n = 3
+	for seed := 1; seed <= n; seed++ {
+		out, gauges := run(seed)
+		if out.Instructions == 0 || out.App != "crc32" || out.CacheHit {
+			t.Errorf("seed %d: implausible result %+v", seed, out)
+		}
+		if gauges == 0 {
+			t.Errorf("seed %d: a fresh run streamed no gauge frame", seed)
+		}
+	}
+	if out, gauges := run(1); !out.CacheHit || gauges != 0 {
+		t.Errorf("repeated config: cache_hit=%v with %d gauge frames, want a bare cached result", out.CacheHit, gauges)
+	}
+	left := 0
+	s.jobs.Range(func(_, _ any) bool { left++; return true })
+	if left != 0 {
+		t.Errorf("%d streamed jobs still held after %d finished streams", left, n+1)
+	}
+
+	var j jobView
+	if code := doJSON(t, "POST", ts.URL+"/run?async=1", `{"app":"crc32","scheme":"edbp","scale":0.05,"seed":9}`, &j); code != http.StatusAccepted {
+		t.Fatalf("async submit = %d", code)
+	}
+	waitForJob(t, ts.URL, j.ID)
+	if _, ok := s.jobs.Load(j.ID); !ok {
+		t.Error("a finished async job was freed; GET /jobs/{id} needs it")
+	}
+
+	code, _, e, err := postStream(ctx, ts.URL, `not json`)
+	if err != nil || code != http.StatusBadRequest || e.Code != cluster.CodeBadRequest || e.Error == "" {
+		t.Errorf("bad stream body = %d %+v (%v), want 400 with code %q", code, e, err, cluster.CodeBadRequest)
+	}
+}
+
+// TestRunStreamErrorFrames pins the coded failures of a streamed run: a
+// run past its deadline ends in a "timeout" error frame; with the worker
+// frozen, a full queue is a queue_full 503 and a draining server a
+// draining 503, each with Retry-After; and runs a drain gives up on end in
+// a "drain_aborted" error frame.
+func TestRunStreamErrorFrames(t *testing.T) {
+	ctx := context.Background()
+	body := func(seed int) string {
+		return fmt.Sprintf(`{"app":"crc32","scheme":"baseline","scale":0.05,"seed":%d}`, seed)
+	}
+	errorFrame := func(events []sseEvent) cluster.ErrorBody {
+		t.Helper()
+		last, _ := terminalFrame(t, events)
+		var e cluster.ErrorBody
+		if last.name != "error" || json.Unmarshal(last.data, &e) != nil {
+			t.Fatalf("stream ended with %s %s, want an error frame", last.name, last.data)
+		}
+		return e
+	}
+
+	_, hasty := testServer(t, serverOptions{workers: 1, runTimeout: time.Nanosecond})
+	code, events, _, err := postStream(ctx, hasty.URL, body(1))
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("POST /run?stream=1 = %d, %v", code, err)
+	}
+	if e := errorFrame(events); e.Code != cluster.CodeTimeout {
+		t.Errorf("timed-out run's error frame = %+v, want code %q", e, cluster.CodeTimeout)
+	}
+
+	gate := make(chan struct{})
+	s, ts := testServer(t, serverOptions{queueDepth: 1, workers: 1, holdJobs: gate})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before the server's own cleanup drains it
+	type streamed struct {
+		code   int
+		events []sseEvent
+		err    error
+	}
+	pending := make(chan streamed, 2)
+	for seed := 1; seed <= 2; seed++ {
+		go func(seed int) {
+			code, events, _, err := postStream(ctx, ts.URL, body(seed))
+			pending <- streamed{code, events, err}
+		}(seed)
+	}
+	// One job parks in the frozen worker, the other fills the queue.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		held := 0
+		s.jobs.Range(func(_, _ any) bool { held++; return true })
+		if held == 2 && len(s.queue) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("streamed jobs never filled the worker and queue (%d held)", held)
+		}
+	}
+	refuse := func(want string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/run?stream=1", "application/json", strings.NewReader(body(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e cluster.ErrorBody
+		json.NewDecoder(resp.Body).Decode(&e)
+		if resp.StatusCode != http.StatusServiceUnavailable || e.Code != want || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("refused stream = %d %+v (Retry-After %q), want 503 with code %q",
+				resp.StatusCode, e, resp.Header.Get("Retry-After"), want)
+		}
+	}
+	refuse(cluster.CodeQueueFull)
+
+	dctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	err = s.Drain(dctx)
+	cancel()
+	if err == nil {
+		t.Fatal("drain with a frozen worker returned nil")
+	}
+	refuse(cluster.CodeDraining)
+	for i := 0; i < 2; i++ {
+		r := <-pending
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("pending stream = %d, %v", r.code, r.err)
+		}
+		if e := errorFrame(r.events); e.Code != cluster.CodeDrainAborted {
+			t.Errorf("drain-aborted run's error frame = %+v, want code %q", e, cluster.CodeDrainAborted)
+		}
+	}
+}
+
+// TestRunStreamClientGone: a streamed run belongs to its request. When the
+// client leaves while the job is queued, the job is dropped from s.jobs
+// and never simulated.
+func TestRunStreamClientGone(t *testing.T) {
+	gate := make(chan struct{})
+	s, ts := testServer(t, serverOptions{workers: 1, holdJobs: gate})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before the server's own cleanup drains it
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	code, events, _, err := postStream(ctx, ts.URL, `{"app":"crc32","scheme":"baseline","scale":0.05}`)
+	cancel()
+	if err != nil || code != http.StatusOK || len(events) != 0 {
+		t.Fatalf("stream of a frozen job = %d %v (%v), want 200 and no frame before the client gave up", code, events, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		held := 0
+		s.jobs.Range(func(_, _ any) bool { held++; return true })
+		if held == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs still held after their client left", held)
+		}
+	}
+	release()
+	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer dcancel()
+	if err := s.Drain(dctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got := s.met.runsOK.Value(); got != 0 {
+		t.Errorf("runs_ok = %g: the abandoned job was simulated", got)
 	}
 }

@@ -22,17 +22,79 @@ import (
 var ErrNoWorkers = errors.New("cluster: no live workers")
 
 // TerminalError is a dispatch failure that retrying on another worker
-// cannot fix: the worker rejected the config (4xx) or the simulation
-// itself failed. Transport failures and 5xx responses are NOT terminal —
-// they mark the worker dead and move the run to the next ring owner.
+// cannot fix: the worker rejected the config (4xx), or the simulation
+// itself failed or timed out. Every other failure is the worker's, not the
+// run's: it marks the worker dead and moves the run to the next ring
+// owner (see classify).
 type TerminalError struct {
 	Node   string
-	Status int
+	Status int    // HTTP status; 200 for a run stream's "error" frame
+	Code   string // the error code, one of the Code constants
 	Msg    string
 }
 
 func (e *TerminalError) Error() string {
-	return fmt.Sprintf("cluster: %s on %s (HTTP %d)", e.Msg, e.Node, e.Status)
+	return fmt.Sprintf("cluster: %s on %s (HTTP %d, code %q)", e.Msg, e.Node, e.Status, e.Code)
+}
+
+// Error codes: the "code" field of edbpd's error JSON (ErrorBody) and of a
+// run stream's "error" frame. They are stable API. The coordinator chooses
+// between backing off, retrying elsewhere and giving up from the HTTP
+// status and this code alone (classify), never from the message.
+const (
+	CodeBadRequest   = "bad_request"   // 4xx: the request or its config is invalid
+	CodeNotFound     = "not_found"     // 404: no such job, grid, worker or stored run
+	CodeQueueFull    = "queue_full"    // 503: the bounded queue is full; retry this node later
+	CodeDraining     = "draining"      // 503: the node is shutting down
+	CodeNoWorkers    = "no_workers"    // 503: a coordinator has no live worker for a grid
+	CodeRunFailed    = "run_failed"    // the simulation returned an error
+	CodeTimeout      = "timeout"       // the run hit its deadline or was canceled
+	CodeDrainAborted = "drain_aborted" // a drain gave up before the run finished
+	CodeInternal     = "internal"      // any other failure on the server's side
+)
+
+// ErrorBody is edbpd's error JSON: the body of every error response and
+// the data of a run stream's "error" frame.
+type ErrorBody struct {
+	Error string `json:"error"`
+	Code  string `json:"code"`
+}
+
+// parseErrorBody decodes edbpd's error JSON. Any other body, such as a
+// proxy's error page, becomes the message with no code.
+func parseErrorBody(raw []byte) ErrorBody {
+	var e ErrorBody
+	if json.Unmarshal(raw, &e) != nil || e.Error == "" {
+		return ErrorBody{Error: strings.TrimSpace(string(raw))}
+	}
+	return e
+}
+
+// disposition is what the coordinator does after a worker fails a run.
+type disposition int
+
+const (
+	retryElsewhere disposition = iota // mark the worker dead; the next ring owner takes the run
+	backOff                           // the owner is busy: wait, then resubmit to it
+	giveUp                            // the run would fail on any worker: *TerminalError
+)
+
+// classify maps a failed answer to a disposition. status is the HTTP
+// status, 200 for a run stream's "error" frame; code is the error code,
+// empty when the body was not edbpd's error JSON. A 5xx without a code
+// comes from something between the coordinator and the worker, such as
+// a proxy whose backend is gone, so the run moves elsewhere.
+func classify(status int, code string) disposition {
+	switch {
+	case code == CodeQueueFull:
+		return backOff
+	case code == CodeDraining, code == CodeDrainAborted:
+		return retryElsewhere
+	case code == CodeRunFailed, code == CodeTimeout, status < 500:
+		return giveUp
+	default:
+		return retryElsewhere
+	}
 }
 
 // Metrics is the coordinator's instrument set, wired by cmd/edbpd against
@@ -75,15 +137,9 @@ type Coordinator struct {
 	Members *Membership
 	Client  *http.Client // nil: http.DefaultClient
 
-	// PollInterval is the job-status poll cadence (default 25ms); the
-	// worker-side simulation is the long pole, so polling stays coarse.
-	PollInterval time.Duration
 	// SubmitBackoff is how long to wait before re-submitting to a worker
 	// whose bounded queue was full (default 50ms).
 	SubmitBackoff time.Duration
-	// StreamIntervalMS is the interval_ms the relay asks workers for
-	// (default 25).
-	StreamIntervalMS int
 
 	Metrics *Metrics
 
@@ -102,13 +158,6 @@ func (c *Coordinator) client() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Coordinator) pollInterval() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 25 * time.Millisecond
-}
-
 func (c *Coordinator) submitBackoff() time.Duration {
 	if c.SubmitBackoff > 0 {
 		return c.SubmitBackoff
@@ -116,24 +165,17 @@ func (c *Coordinator) submitBackoff() time.Duration {
 	return 50 * time.Millisecond
 }
 
-func (c *Coordinator) streamIntervalMS() int {
-	if c.StreamIntervalMS > 0 {
-		return c.StreamIntervalMS
-	}
-	return 25
-}
-
 // EventFunc receives relayed SSE events from the worker running a
-// dispatched job: node is the worker id, event the SSE event name
+// dispatched run: node is the worker id, event the SSE event name
 // ("gauge"), data the frame's JSON payload.
 type EventFunc func(node, event string, data []byte)
 
 // Execute runs one request body (a normalized edbpd run request) on the
-// worker owning key, retrying with exclusion when workers fail at the
-// transport level. It returns the worker's Result JSON, the id of the
-// node that produced it, and how many workers were tried (>1 means the
-// run survived at least one worker failure). onEvent, when non-nil,
-// receives the run's relayed /stream frames while it is in flight.
+// worker owning key, retrying with exclusion when a worker fails rather
+// than the run (see classify). It returns the worker's Result JSON, the
+// id of the node that produced it, and how many workers were tried (>1
+// means the run survived at least one worker failure). onEvent, when
+// non-nil, receives the run's gauge frames while it is in flight.
 func (c *Coordinator) Execute(ctx context.Context, key string, body []byte, onEvent EventFunc) (json.RawMessage, string, int, error) {
 	excluded := make(map[string]bool)
 	var lastErr error
@@ -174,8 +216,8 @@ func (c *Coordinator) Execute(ctx context.Context, key string, body []byte, onEv
 		if ctx.Err() != nil {
 			return nil, node.ID, attempt + 1, ctx.Err()
 		}
-		// Transport-level failure: the worker is gone (or unreachable).
-		// Exclude it and let the next ring owner take the shard over.
+		// The worker failed: it is unreachable, draining, or its stream
+		// was cut. Exclude it and let the next ring owner take the shard.
 		c.Members.MarkDead(node.ID)
 		c.Metrics.died()
 		excluded[node.ID] = true
@@ -200,74 +242,16 @@ func joinSorted(set map[string]bool) string {
 	return strings.Join(ids, ",")
 }
 
-// errorBody extracts edbpd's {"error": "..."} message from a response
-// body, falling back to the raw text.
-func errorBody(body []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return strings.TrimSpace(string(body))
-}
-
-// execOn submits body to one worker asynchronously and polls the job to
-// completion, relaying its stream in between. Errors are terminal
-// (*TerminalError) when retrying elsewhere is pointless, transport-level
-// otherwise.
+// execOn runs body on one worker over a single POST /run?stream=1 and
+// returns the Result JSON of the stream's terminal "result" frame. While
+// the worker's queue is full it backs off and resubmits. An error is a
+// *TerminalError when the run would fail on any worker; any other error
+// is this worker's failure.
 func (c *Coordinator) execOn(ctx context.Context, node Node, body []byte, onEvent EventFunc) (json.RawMessage, error) {
-	jobID, err := c.submit(ctx, node, body)
-	if err != nil {
-		return nil, err
-	}
-
-	if onEvent != nil {
-		sctx, scancel := context.WithCancel(ctx)
-		defer scancel()
-		relayed := make(chan struct{})
-		go func() {
-			defer close(relayed)
-			c.relayStream(sctx, node, jobID, onEvent)
-		}()
-		// The relay usually ends with the worker's terminal "done" event;
-		// on worker death scancel aborts the body read. Wait for it below
-		// so frames never trail the returned result.
-		defer func() {
-			scancel()
-			<-relayed
-		}()
-	}
-
-	tick := time.NewTicker(c.pollInterval())
-	defer tick.Stop()
 	for {
-		status, result, errMsg, err := c.pollJob(ctx, node, jobID)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/run?stream=1", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
-		}
-		switch status {
-		case "done":
-			return result, nil
-		case "failed":
-			return nil, &TerminalError{Node: node.ID, Status: http.StatusOK, Msg: "job failed: " + errMsg}
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-tick.C:
-		}
-	}
-}
-
-// submit POSTs the run to the worker's bounded queue, backing off while
-// the queue is full. A draining worker is a transport-level failure (it
-// is leaving the ring; the run belongs elsewhere).
-func (c *Coordinator) submit(ctx context.Context, node Node, body []byte) (string, error) {
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/run?async=1", bytes.NewReader(body))
-		if err != nil {
-			return "", err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		if sc := span.FromCtx(ctx); sc.Valid() {
@@ -275,95 +259,65 @@ func (c *Coordinator) submit(ctx context.Context, node Node, body []byte) (strin
 		}
 		resp, err := c.client().Do(req)
 		if err != nil {
-			return "", fmt.Errorf("cluster: submit to %s: %w", node.ID, err)
+			return nil, fmt.Errorf("cluster: run on %s: %w", node.ID, err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			result, err := c.readRun(node, resp.Body, onEvent)
+			resp.Body.Close()
+			return result, err
 		}
 		raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 		if err != nil {
-			return "", fmt.Errorf("cluster: submit to %s: %w", node.ID, err)
+			return nil, fmt.Errorf("cluster: run on %s: %w", node.ID, err)
 		}
-		switch {
-		case resp.StatusCode == http.StatusAccepted:
-			var j struct {
-				ID string `json:"id"`
+		e := parseErrorBody(raw)
+		switch classify(resp.StatusCode, e.Code) {
+		case backOff:
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-time.After(c.submitBackoff()):
 			}
-			if err := json.Unmarshal(raw, &j); err != nil || j.ID == "" {
-				return "", fmt.Errorf("cluster: submit to %s: bad 202 body %q", node.ID, raw)
-			}
-			return j.ID, nil
-		case resp.StatusCode == http.StatusServiceUnavailable:
-			msg := errorBody(raw)
-			if strings.Contains(msg, "queue full") {
-				// The shard owner is busy, not gone: wait for a slot.
-				select {
-				case <-ctx.Done():
-					return "", ctx.Err()
-				case <-time.After(c.submitBackoff()):
-				}
-				continue
-			}
-			// "draining" (or an LB in between): treat as node loss.
-			return "", fmt.Errorf("cluster: submit to %s: %s", node.ID, msg)
-		case resp.StatusCode >= 400 && resp.StatusCode < 500:
-			return "", &TerminalError{Node: node.ID, Status: resp.StatusCode, Msg: errorBody(raw)}
+		case giveUp:
+			return nil, &TerminalError{Node: node.ID, Status: resp.StatusCode, Code: e.Code, Msg: e.Error}
 		default:
-			return "", fmt.Errorf("cluster: submit to %s: HTTP %d: %s", node.ID, resp.StatusCode, errorBody(raw))
+			return nil, fmt.Errorf("cluster: run on %s: HTTP %d: %s", node.ID, resp.StatusCode, e.Error)
 		}
 	}
 }
 
-// pollJob fetches one job snapshot. err is transport-level only; HTTP
-// status mapping mirrors submit.
-func (c *Coordinator) pollJob(ctx context.Context, node Node, jobID string) (status string, result json.RawMessage, errMsg string, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.URL+"/jobs/"+jobID, nil)
-	if err != nil {
-		return "", nil, "", err
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return "", nil, "", fmt.Errorf("cluster: poll %s on %s: %w", jobID, node.ID, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
-	if err != nil {
-		return "", nil, "", fmt.Errorf("cluster: poll %s on %s: %w", jobID, node.ID, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		// A worker that restarted forgot the job: transport-level, so the
-		// run is re-dispatched (404 included — job state is per-process).
-		return "", nil, "", fmt.Errorf("cluster: poll %s on %s: HTTP %d: %s", jobID, node.ID, resp.StatusCode, errorBody(raw))
-	}
-	var j struct {
-		Status string          `json:"status"`
-		Result json.RawMessage `json:"result"`
-		Error  string          `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &j); err != nil {
-		return "", nil, "", fmt.Errorf("cluster: poll %s on %s: bad body: %w", jobID, node.ID, err)
-	}
-	return j.Status, j.Result, j.Error, nil
-}
-
-// relayStream follows one dispatched job's SSE feed on its worker and
-// forwards each event to onEvent. It returns when the worker ends the
-// stream (terminal "done" event), the connection drops, or ctx is
-// canceled — it never outlives the Execute call that started it.
-func (c *Coordinator) relayStream(ctx context.Context, node Node, jobID string, onEvent EventFunc) {
-	url := fmt.Sprintf("%s/stream?job=%s&interval_ms=%d", node.URL, jobID, c.streamIntervalMS())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return
-	}
-	resp, err := c.client().Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	ParseSSE(resp.Body, func(event string, data []byte) {
-		c.Metrics.framed()
-		onEvent(node.ID, event, data)
+// readRun reads one run stream to its end: gauge frames go to onEvent,
+// counted, and the terminal "result" or "error" frame decides the
+// outcome. A stream that ends without a terminal frame means the
+// connection dropped or the worker died: that is the worker's failure.
+func (c *Coordinator) readRun(node Node, body io.Reader, onEvent EventFunc) (json.RawMessage, error) {
+	var (
+		result  json.RawMessage
+		failure *ErrorBody
+	)
+	ParseSSE(body, func(event string, data []byte) {
+		switch event {
+		case "gauge":
+			if onEvent != nil {
+				c.Metrics.framed()
+				onEvent(node.ID, event, data)
+			}
+		case "result":
+			result = data
+		case "error":
+			e := parseErrorBody(data)
+			failure = &e
+		}
 	})
+	switch {
+	case result != nil:
+		return result, nil
+	case failure == nil:
+		return nil, fmt.Errorf("cluster: run on %s: stream ended without a terminal frame", node.ID)
+	case classify(http.StatusOK, failure.Code) == giveUp:
+		return nil, &TerminalError{Node: node.ID, Status: http.StatusOK, Code: failure.Code, Msg: failure.Error}
+	default:
+		return nil, fmt.Errorf("cluster: run on %s: %s (code %q)", node.ID, failure.Error, failure.Code)
+	}
 }

@@ -16,40 +16,34 @@ import (
 	"edbp/internal/obs"
 )
 
-// stubJob is one fake async run on a stub worker.
-type stubJob struct {
-	mu     sync.Mutex
-	status string
-	result json.RawMessage
-	errMsg string
-	done   chan struct{}
-}
-
-// stubWorker emulates exactly the slice of edbpd's surface the
-// coordinator uses: POST /run?async=1, GET /jobs/{id}, GET /stream?job=.
+// stubWorker emulates the slice of edbpd's surface the coordinator uses:
+// POST /run?stream=1, answered with gauge frames and one terminal frame.
+// Every other request is logged and answered 404.
 type stubWorker struct {
 	id string
 	ts *httptest.Server
 
-	mu     sync.Mutex
-	jobs   map[string]*stubJob
-	nextID int
-
 	runDelay      time.Duration
-	failJobs      bool         // every job finishes "failed"
-	queueFullLeft atomic.Int32 // respond 503 queue-full this many times
-	runs          atomic.Int32 // jobs actually executed
+	failCode      string       // non-empty: every run ends in an error frame with this code
+	cutStream     bool         // every stream ends without a complete terminal frame
+	queueFullLeft atomic.Int32 // respond 503 queue_full this many times
+	runs          atomic.Int32 // runs actually executed
+
+	mu       sync.Mutex
+	requests []string // "METHOD /path" of every request, in arrival order
 
 	lastTraceparent atomic.Value // last traceparent header seen on /run
 }
 
 func newStubWorker(t *testing.T, id string) *stubWorker {
 	t.Helper()
-	w := &stubWorker{id: id, jobs: make(map[string]*stubJob)}
+	w := &stubWorker{id: id}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /run", w.handleRun)
-	mux.HandleFunc("GET /jobs/{id}", w.handleJob)
-	mux.HandleFunc("GET /stream", w.handleStream)
+	mux.HandleFunc("/", func(rw http.ResponseWriter, r *http.Request) {
+		w.logRequest(r)
+		rw.WriteHeader(http.StatusNotFound)
+	})
 	w.ts = httptest.NewServer(mux)
 	t.Cleanup(w.ts.Close)
 	return w
@@ -57,89 +51,76 @@ func newStubWorker(t *testing.T, id string) *stubWorker {
 
 func (w *stubWorker) node() Node { return Node{ID: w.id, URL: w.ts.URL} }
 
+func (w *stubWorker) logRequest(r *http.Request) {
+	w.mu.Lock()
+	w.requests = append(w.requests, r.Method+" "+r.URL.Path)
+	w.mu.Unlock()
+}
+
+func (w *stubWorker) requestLog() []string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]string(nil), w.requests...)
+}
+
+func writeStubError(rw http.ResponseWriter, status int, code, msg string) {
+	rw.WriteHeader(status)
+	json.NewEncoder(rw).Encode(ErrorBody{Error: msg, Code: code})
+}
+
 func (w *stubWorker) handleRun(rw http.ResponseWriter, r *http.Request) {
+	w.logRequest(r)
 	w.lastTraceparent.Store(r.Header.Get("traceparent"))
+	if r.URL.Query().Get("stream") == "" {
+		writeStubError(rw, http.StatusBadRequest, CodeBadRequest, "stub serves only ?stream=1")
+		return
+	}
 	if w.queueFullLeft.Load() > 0 {
 		w.queueFullLeft.Add(-1)
-		rw.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(rw).Encode(map[string]string{"error": "queue full (1 deep)"})
+		writeStubError(rw, http.StatusServiceUnavailable, CodeQueueFull, "queue full (1 deep)")
 		return
 	}
 	var req map[string]any
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		rw.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(rw).Encode(map[string]string{"error": "bad body"})
-		return
-	}
-	w.mu.Lock()
-	w.nextID++
-	id := fmt.Sprintf("job-%d", w.nextID)
-	j := &stubJob{status: "running", done: make(chan struct{})}
-	w.jobs[id] = j
-	w.mu.Unlock()
-	go func() {
-		time.Sleep(w.runDelay)
-		w.runs.Add(1)
-		j.mu.Lock()
-		if w.failJobs {
-			j.status = "failed"
-			j.errMsg = "stub simulation exploded"
-		} else {
-			j.status = "done"
-			j.result, _ = json.Marshal(map[string]any{"node": w.id, "app": req["app"], "seed": req["seed"]})
-		}
-		j.mu.Unlock()
-		close(j.done)
-	}()
-	rw.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(rw).Encode(map[string]string{"id": id, "status": "queued"})
-}
-
-func (w *stubWorker) job(id string) *stubJob {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.jobs[id]
-}
-
-func (w *stubWorker) handleJob(rw http.ResponseWriter, r *http.Request) {
-	j := w.job(r.PathValue("id"))
-	if j == nil {
-		rw.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(rw).Encode(map[string]string{"error": "unknown job"})
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	json.NewEncoder(rw).Encode(map[string]any{"id": r.PathValue("id"), "status": j.status, "result": j.result, "error": j.errMsg})
-}
-
-func (w *stubWorker) handleStream(rw http.ResponseWriter, r *http.Request) {
-	j := w.job(r.URL.Query().Get("job"))
-	if j == nil {
-		rw.WriteHeader(http.StatusNotFound)
+		writeStubError(rw, http.StatusBadRequest, CodeBadRequest, "bad body")
 		return
 	}
 	fl := rw.(http.Flusher)
 	rw.Header().Set("Content-Type", "text/event-stream")
 	rw.WriteHeader(http.StatusOK)
-	seq := 0
+	fl.Flush()
+
+	done := time.After(w.runDelay)
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
-	for {
+	seq := 0
+	for running := true; running; {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-j.done:
-			fmt.Fprintf(rw, "event: gauge\ndata: {\"node\":%q,\"seq\":%d,\"final\":true}\n\n", w.id, seq+1)
-			fmt.Fprintf(rw, "event: done\ndata: {}\n\n")
-			fl.Flush()
-			return
+		case <-done:
+			running = false
 		case <-tick.C:
 			seq++
 			fmt.Fprintf(rw, "event: gauge\ndata: {\"node\":%q,\"seq\":%d}\n\n", w.id, seq)
 			fl.Flush()
 		}
 	}
+	w.runs.Add(1)
+	fmt.Fprintf(rw, "event: gauge\ndata: {\"node\":%q,\"seq\":%d,\"final\":true}\n\n", w.id, seq+1)
+	result, _ := json.Marshal(map[string]any{"node": w.id, "app": req["app"], "seed": req["seed"]})
+	switch {
+	case w.cutStream:
+		// The connection drops mid-frame: the result's blank line never
+		// arrives.
+		fmt.Fprintf(rw, "event: result\ndata: %s\n", result)
+	case w.failCode != "":
+		data, _ := json.Marshal(ErrorBody{Error: "stub simulation exploded", Code: w.failCode})
+		fmt.Fprintf(rw, "event: error\ndata: %s\n\n", data)
+	default:
+		fmt.Fprintf(rw, "event: result\ndata: %s\n\n", result)
+	}
+	fl.Flush()
 }
 
 func testFleet(t *testing.T, n int) (*Coordinator, []*stubWorker) {
@@ -150,7 +131,7 @@ func testFleet(t *testing.T, n int) (*Coordinator, []*stubWorker) {
 		workers[i] = newStubWorker(t, fmt.Sprintf("w%d", i+1))
 		m.Join(workers[i].node())
 	}
-	c := &Coordinator{Members: m, PollInterval: 2 * time.Millisecond, SubmitBackoff: 2 * time.Millisecond}
+	c := &Coordinator{Members: m, SubmitBackoff: 2 * time.Millisecond}
 	return c, workers
 }
 
@@ -236,20 +217,28 @@ func TestExecuteRetryWithExclusion(t *testing.T) {
 	}
 }
 
-// TestExecuteQueueFullBackoff: a full bounded queue is a busy shard owner,
-// not a dead one — the coordinator waits instead of re-routing.
+// TestExecuteQueueFullBackoff: a queue_full 503 is a busy shard owner, not
+// a dead one — the coordinator backs off and resubmits to the same node.
 func TestExecuteQueueFullBackoff(t *testing.T) {
 	c, workers := testFleet(t, 2)
+	c.Metrics = &Metrics{Deaths: obs.NewRegistry().Counter("deaths_total", "")}
 	key := "busy-key"
 	owner, _ := c.Members.Owner(key, nil)
-	findWorker(workers, owner.ID).queueFullLeft.Store(3)
+	busy := findWorker(workers, owner.ID)
+	busy.queueFullLeft.Store(3)
 
-	_, node, _, err := c.Execute(context.Background(), key, []byte(`{"app":"fft"}`), nil)
+	_, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"fft"}`), nil)
 	if err != nil {
 		t.Fatalf("execute through full queue: %v", err)
 	}
-	if node != owner.ID {
-		t.Fatalf("queue-full run moved to %s; must stay on owner %s", node, owner.ID)
+	if node != owner.ID || attempts != 1 {
+		t.Fatalf("queue-full run ended on %s after %d attempts; must stay on owner %s in one", node, attempts, owner.ID)
+	}
+	if got := len(busy.requestLog()); got != 4 {
+		t.Errorf("owner saw %d POST /run, want 4 (3 refused, 1 run)", got)
+	}
+	if got := c.Metrics.Deaths.Value(); got != 0 {
+		t.Errorf("deaths = %g, want 0: a busy owner is alive", got)
 	}
 }
 
@@ -258,7 +247,7 @@ func TestExecuteQueueFullBackoff(t *testing.T) {
 func TestExecuteTerminalFailure(t *testing.T) {
 	c, workers := testFleet(t, 2)
 	for _, w := range workers {
-		w.failJobs = true
+		w.failCode = CodeRunFailed
 	}
 	_, _, _, err := c.Execute(context.Background(), "some-key", []byte(`{"app":"crc32"}`), nil)
 	var term *TerminalError
@@ -268,6 +257,133 @@ func TestExecuteTerminalFailure(t *testing.T) {
 	total := workers[0].runs.Load() + workers[1].runs.Load()
 	if total != 1 {
 		t.Errorf("failed run executed %d times, want exactly 1 (no cross-worker retry)", total)
+	}
+}
+
+// TestExecuteErrorFrameTerminal: an "error" frame with a config code is a
+// *TerminalError carrying that code, and no other worker is asked.
+func TestExecuteErrorFrameTerminal(t *testing.T) {
+	c, workers := testFleet(t, 3)
+	key := "bad-config-key"
+	owner, _ := c.Members.Owner(key, nil)
+	findWorker(workers, owner.ID).failCode = CodeBadRequest
+
+	_, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"crc32"}`), nil)
+	var term *TerminalError
+	if !errors.As(err, &term) {
+		t.Fatalf("err = %v, want TerminalError", err)
+	}
+	if term.Code != CodeBadRequest || term.Node != owner.ID {
+		t.Errorf("TerminalError = %+v, want code %q from %s", term, CodeBadRequest, owner.ID)
+	}
+	if node != owner.ID || attempts != 1 {
+		t.Errorf("node=%s attempts=%d, want %s/1", node, attempts, owner.ID)
+	}
+	for _, w := range workers {
+		if w.id != owner.ID && len(w.requestLog()) != 0 {
+			t.Errorf("%s was asked %v after a terminal error frame", w.id, w.requestLog())
+		}
+	}
+	if n, ok := c.Members.Owner(key, nil); !ok || n.ID != owner.ID {
+		t.Errorf("owner after a terminal error = %+v ok=%v, want %s still routable", n, ok, owner.ID)
+	}
+}
+
+// TestExecuteStreamCut: a stream that ends before its terminal frame is
+// complete is the worker's failure — it is marked dead and the next ring
+// owner runs the cell.
+func TestExecuteStreamCut(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, workers := testFleet(t, 3)
+	c.Metrics = &Metrics{Deaths: reg.Counter("deaths_total", ""), Retries: reg.Counter("retries_total", "")}
+	key := "cut-stream-key"
+	owner, _ := c.Members.Owner(key, nil)
+	victim := findWorker(workers, owner.ID)
+	victim.cutStream = true
+	next, _ := c.Members.Owner(key, map[string]bool{owner.ID: true})
+
+	raw, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"aes","seed":3}`), nil)
+	if err != nil {
+		t.Fatalf("execute after a cut stream: %v", err)
+	}
+	if node != next.ID || attempts != 2 {
+		t.Fatalf("node=%s attempts=%d, want the next ring owner %s on attempt 2", node, attempts, next.ID)
+	}
+	var res struct {
+		Node string `json:"node"`
+	}
+	if json.Unmarshal(raw, &res) != nil || res.Node != next.ID {
+		t.Fatalf("result %s not from %s: the truncated result frame leaked through", raw, next.ID)
+	}
+	if victim.runs.Load() != 1 || len(victim.requestLog()) != 1 {
+		t.Errorf("victim ran %d times over %v, want one POST /run", victim.runs.Load(), victim.requestLog())
+	}
+	if c.Metrics.Deaths.Value() != 1 || c.Metrics.Retries.Value() != 1 {
+		t.Errorf("deaths=%g retries=%g, want 1 and 1", c.Metrics.Deaths.Value(), c.Metrics.Retries.Value())
+	}
+	if n, ok := c.Members.Owner(key, nil); !ok || n.ID == owner.ID {
+		t.Errorf("worker with the cut stream still owns the key: %+v ok=%v", n, ok)
+	}
+}
+
+// TestClassify pins the coordinator's response to every status and code
+// pair a worker (or something in front of it) can answer with. Status 200
+// stands for a run stream's "error" frame.
+func TestClassify(t *testing.T) {
+	cases := []struct {
+		status int
+		code   string
+		want   disposition
+	}{
+		{http.StatusServiceUnavailable, CodeQueueFull, backOff},
+		{http.StatusServiceUnavailable, CodeDraining, retryElsewhere},
+		{http.StatusServiceUnavailable, CodeNoWorkers, retryElsewhere},
+		{http.StatusServiceUnavailable, "", retryElsewhere}, // a proxy in between
+		{http.StatusBadGateway, "", retryElsewhere},
+		{http.StatusInternalServerError, CodeInternal, retryElsewhere},
+		{http.StatusInternalServerError, CodeRunFailed, giveUp},
+		{http.StatusInternalServerError, "", retryElsewhere},
+		{http.StatusGatewayTimeout, CodeTimeout, giveUp},
+		{http.StatusBadRequest, CodeBadRequest, giveUp},
+		{http.StatusBadRequest, "", giveUp},
+		{http.StatusNotFound, CodeNotFound, giveUp},
+		{http.StatusUnprocessableEntity, CodeBadRequest, giveUp},
+		{http.StatusOK, CodeRunFailed, giveUp},
+		{http.StatusOK, CodeTimeout, giveUp},
+		{http.StatusOK, CodeBadRequest, giveUp},
+		{http.StatusOK, CodeDrainAborted, retryElsewhere},
+	}
+	for _, tc := range cases {
+		if got := classify(tc.status, tc.code); got != tc.want {
+			t.Errorf("classify(%d, %q) = %d, want %d", tc.status, tc.code, got, tc.want)
+		}
+	}
+}
+
+// TestExecuteOneRequestPerCell: every dispatched grid cell is exactly one
+// POST /run — no job polls, no separate stream.
+func TestExecuteOneRequestPerCell(t *testing.T) {
+	c, workers := testFleet(t, 2)
+	entries := make([]GridEntry, 8)
+	for i := range entries {
+		entries[i] = GridEntry{Key: fmt.Sprintf("cell-%d", i), Body: []byte(fmt.Sprintf(`{"app":"crc32","seed":%d}`, i+1))}
+	}
+	g := c.StartGrid(context.Background(), "grid-1", entries, nil)
+	<-g.Done()
+	if sum := g.Summary(); sum.Done != len(entries) {
+		t.Fatalf("grid = %+v, want %d done", sum, len(entries))
+	}
+	total := 0
+	for _, w := range workers {
+		for _, req := range w.requestLog() {
+			if req != "POST /run" {
+				t.Errorf("%s saw %q; a cell must make no request but POST /run", w.id, req)
+			}
+			total++
+		}
+	}
+	if total != len(entries) {
+		t.Errorf("fleet saw %d requests for %d cells, want one each", total, len(entries))
 	}
 }
 
@@ -431,11 +547,13 @@ func TestWorkerLoop(t *testing.T) {
 }
 
 // TestParseSSE: the parser handles multi-field events, default event
-// names, and multi-line data.
+// names, and multi-line data, and drops an event cut off before its
+// blank line.
 func TestParseSSE(t *testing.T) {
 	input := "event: gauge\ndata: {\"a\":1}\n\n" +
 		"data: plain\n\n" +
-		"event: done\ndata: {}\ndata: more\n\n"
+		"event: done\ndata: {}\ndata: more\n\n" +
+		"event: result\ndata: {\"cut\":true}\n"
 	var got []string
 	ParseSSE(strings.NewReader(input), func(event string, data []byte) {
 		got = append(got, event+"|"+string(data))

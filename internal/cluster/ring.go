@@ -11,12 +11,14 @@
 // Membership is push-based: workers join with POST /cluster/join, renew
 // with periodic heartbeats, and deregister with /cluster/leave when they
 // drain. A worker that stops heartbeating past the liveness timeout — or
-// that fails a dispatch at the transport level — is marked dead and
-// excluded from the ring; runs in flight on it are retried on the next
-// owner (retry-with-exclusion). Dispatch is asynchronous on the worker
-// side (POST /run?async=1 + job polling) so a dying worker never wedges
-// the coordinator, and each dispatched job's /stream SSE frames can be
-// relayed and fanned into a single stream for the whole grid.
+// that fails a dispatch for a reason other than the run itself — is
+// marked dead and excluded from the ring; runs in flight on it are
+// retried on the next owner (retry-with-exclusion). Each dispatched run
+// is one POST /run?stream=1: the worker queues it and answers with a
+// Server-Sent Events stream of the run's gauge frames and then exactly
+// one terminal "result" or "error" frame. A worker that dies mid-run
+// shows up as its stream ending without a terminal frame, and a grid's
+// gauge frames fan into a single stream for the whole grid.
 package cluster
 
 import (

@@ -10,7 +10,10 @@ import (
 // ParseSSE reads a Server-Sent-Events stream and calls emit once per
 // event with its name (default "message") and the concatenated data
 // payload. It returns when r ends. Only the event: and data: fields are
-// interpreted — that is all edbpd's streams emit.
+// interpreted — that is all edbpd's streams emit. An event is dispatched
+// at the blank line that ends it; one cut off by the end of r is dropped,
+// as the SSE specification requires, so a truncated terminal frame never
+// passes for a complete one.
 func ParseSSE(r io.Reader, emit func(event string, data []byte)) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 4096), 1<<20)
@@ -41,7 +44,6 @@ func ParseSSE(r io.Reader, emit func(event string, data []byte)) {
 			data.WriteString(strings.TrimSpace(strings.TrimPrefix(line, "data:")))
 		}
 	}
-	flush()
 }
 
 // Event is one fan-in stream item: an SSE event name plus its JSON data.
