@@ -63,39 +63,31 @@ func (c Counts) Rate() (tp, fp, tn, fn, zfn float64) {
 		float64(c.FN) / tot, float64(c.ZombieFN) / tot
 }
 
-// Listener receives per-block lifecycle events from the simulator. The
-// Tracker implements it to classify generations; the Ideal predictor's
-// recording pass implements it to build its oracle schedule.
-type Listener interface {
-	// BlockFilled starts a generation at (set, way) for block addr.
-	BlockFilled(set, way int, addr uint64, event uint64, now float64)
-	// BlockHit records a demand reuse.
-	BlockHit(set, way int, event uint64, now float64)
-	// BlockGated records that a predictor powered the block off.
-	BlockGated(set, way int, event uint64, now float64)
-	// BlockWrongKill records a demand miss on a gated block: the gen ends
-	// as FP (the subsequent refill starts a new one).
-	BlockWrongKill(set, way int, event uint64, now float64)
-	// BlockEvicted ends the generation by ordinary replacement.
-	BlockEvicted(set, way int, event uint64, now float64)
-	// BlockLostAtOutage ends the generation because the power failed and
-	// the block was not checkpointed.
-	BlockLostAtOutage(set, way int, event uint64, now float64)
+// LastUse is one closed block generation as the Ideal oracle needs it:
+// the block's address, the trace event of its final access, and its dead
+// tail, the simulated seconds it stayed resident after that access until
+// the generation ended.
+type LastUse struct {
+	Event uint64
+	Addr  uint64
+	Tail  float64
 }
 
 // gen is one in-flight generation.
 type gen struct {
 	active    bool
-	addr      uint64
-	uses      uint32
 	gated     bool
+	uses      uint32
+	addr      uint64
+	lastEvent uint64
 	fillTime  float64
 	lastUse   float64
 	gatedTime float64
 }
 
-// Tracker classifies generations and accumulates Counts. It implements
-// Listener. The zero value is unusable; construct with NewTracker.
+// Tracker classifies generations and accumulates Counts from the
+// simulator's per-block lifecycle events. The zero value is unusable;
+// construct with NewTracker.
 type Tracker struct {
 	ways   int
 	gens   []gen
@@ -107,6 +99,11 @@ type Tracker struct {
 	gatedTime float64
 
 	profile *ZombieProfile // optional Figure 4 collection
+
+	// lastUses collects every closed generation in closing order once
+	// RecordLastUses is called: the Ideal oracle's recording pass.
+	recording bool
+	lastUses  []LastUse
 }
 
 // NewTracker returns a tracker for a sets×ways cache.
@@ -123,29 +120,38 @@ func (t *Tracker) Counts() Counts { return t.counts }
 // GatedTime returns the total block-seconds spent powered off.
 func (t *Tracker) GatedTime() float64 { return t.gatedTime }
 
+// RecordLastUses makes the tracker keep a LastUse for every generation it
+// closes from now on, FlushOpen included.
+func (t *Tracker) RecordLastUses() { t.recording = true }
+
+// LastUses returns the generations closed since RecordLastUses, in the
+// order they closed.
+func (t *Tracker) LastUses() []LastUse { return t.lastUses }
+
 func (t *Tracker) at(set, way int) *gen { return &t.gens[set*t.ways+way] }
 
-// BlockFilled implements Listener.
-func (t *Tracker) BlockFilled(set, way int, addr uint64, _ uint64, now float64) {
+// BlockFilled starts a generation at (set, way) for block addr.
+func (t *Tracker) BlockFilled(set, way int, addr uint64, event uint64, now float64) {
 	g := t.at(set, way)
 	if g.active {
 		// The simulator should have ended the previous generation; treat
 		// a stale one as an ordinary eviction for robustness.
 		t.close(g, false, now)
 	}
-	*g = gen{active: true, addr: addr, uses: 1, fillTime: now, lastUse: now}
+	*g = gen{active: true, addr: addr, uses: 1, lastEvent: event, fillTime: now, lastUse: now}
 }
 
-// BlockHit implements Listener.
-func (t *Tracker) BlockHit(set, way int, _ uint64, now float64) {
+// BlockHit records a demand reuse.
+func (t *Tracker) BlockHit(set, way int, event uint64, now float64) {
 	g := t.at(set, way)
 	if g.active {
 		g.uses++
+		g.lastEvent = event
 		g.lastUse = now
 	}
 }
 
-// BlockGated implements Listener.
+// BlockGated records that a predictor powered the block off.
 func (t *Tracker) BlockGated(set, way int, _ uint64, now float64) {
 	g := t.at(set, way)
 	if g.active && !g.gated {
@@ -154,7 +160,8 @@ func (t *Tracker) BlockGated(set, way int, _ uint64, now float64) {
 	}
 }
 
-// BlockWrongKill implements Listener.
+// BlockWrongKill records a demand miss on a gated block: the generation
+// ends as FP (the subsequent refill starts a new one).
 func (t *Tracker) BlockWrongKill(set, way int, _ uint64, now float64) {
 	g := t.at(set, way)
 	if !g.active {
@@ -165,7 +172,7 @@ func (t *Tracker) BlockWrongKill(set, way int, _ uint64, now float64) {
 	g.active = false
 }
 
-// BlockEvicted implements Listener.
+// BlockEvicted ends the generation by ordinary replacement.
 func (t *Tracker) BlockEvicted(set, way int, _ uint64, now float64) {
 	g := t.at(set, way)
 	if !g.active {
@@ -174,7 +181,8 @@ func (t *Tracker) BlockEvicted(set, way int, _ uint64, now float64) {
 	t.close(g, false, now)
 }
 
-// BlockLostAtOutage implements Listener.
+// BlockLostAtOutage ends the generation because the power failed and the
+// block was not checkpointed.
 func (t *Tracker) BlockLostAtOutage(set, way int, _ uint64, now float64) {
 	g := t.at(set, way)
 	if !g.active {
@@ -188,6 +196,9 @@ func (t *Tracker) BlockLostAtOutage(set, way int, _ uint64, now float64) {
 
 // close classifies and retires a generation.
 func (t *Tracker) close(g *gen, outage bool, now float64) {
+	if t.recording {
+		t.lastUses = append(t.lastUses, LastUse{Event: g.lastEvent, Addr: g.addr, Tail: now - g.lastUse})
+	}
 	switch {
 	case g.gated:
 		// Gated and never re-demanded (re-demands go through

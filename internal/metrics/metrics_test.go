@@ -218,3 +218,42 @@ func TestZombieProfileValidation(t *testing.T) {
 		t.Fatal("zero buckets accepted")
 	}
 }
+
+// TestRecordLastUses: once recording, every closed generation — evicted,
+// lost at an outage, refilled over a stale one, or flushed at the end —
+// leaves its last-use event, address and dead tail, in closing order; an
+// untouched tracker records nothing.
+func TestRecordLastUses(t *testing.T) {
+	plain := NewTracker(1, 1)
+	plain.BlockFilled(0, 0, 0x40, 1, 1.0)
+	plain.BlockEvicted(0, 0, 2, 2.0)
+	if got := plain.LastUses(); got != nil {
+		t.Fatalf("tracker without RecordLastUses recorded %+v", got)
+	}
+
+	tr := NewTracker(1, 2)
+	tr.RecordLastUses()
+	tr.BlockFilled(0, 0, 0x100, 1, 1.0)
+	tr.BlockHit(0, 0, 3, 3.0)
+	tr.BlockEvicted(0, 0, 7, 7.0)
+	tr.BlockFilled(0, 1, 0x200, 4, 4.0)
+	tr.BlockLostAtOutage(0, 1, 9, 9.0)
+	tr.BlockFilled(0, 0, 0x300, 10, 10.0)
+	tr.BlockFilled(0, 0, 0x400, 11, 12.0) // stale generation closed by the refill
+	tr.FlushOpen(20.0)
+	want := []LastUse{
+		{Event: 3, Addr: 0x100, Tail: 4.0},
+		{Event: 4, Addr: 0x200, Tail: 5.0},
+		{Event: 10, Addr: 0x300, Tail: 2.0},
+		{Event: 11, Addr: 0x400, Tail: 8.0},
+	}
+	got := tr.LastUses()
+	if len(got) != len(want) {
+		t.Fatalf("recorded %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -1,6 +1,13 @@
 package predictor
 
-import "edbp/internal/cache"
+import (
+	"cmp"
+	"math"
+	"slices"
+
+	"edbp/internal/cache"
+	"edbp/internal/metrics"
+)
 
 // The Ideal predictor is the paper's theoretical bound (Figure 8,
 // "Ideal"): perfect knowledge of which blocks are dead or zombie lets it
@@ -8,10 +15,11 @@ import "edbp/internal/cache"
 // extra misses.
 //
 // It is realised as a two-pass oracle. Pass 1 runs the baseline
-// (no-predictor) simulation with an OracleRecorder attached as a
-// metrics.Listener; the recorder notes, for every block generation, the
-// trace-event index of its last access. Pass 2 replays the identical trace
-// with an Ideal predictor that gates each block right after that event.
+// (no-predictor) simulation with the engine's own metrics.Tracker
+// recording, for every block generation it closes, the trace-event index
+// of the block's last access (metrics.Tracker.LastUses). Pass 2 replays
+// the identical trace with an Ideal predictor built from those records,
+// which gates each block right after that event.
 //
 // Approximation (documented in EXPERIMENTS.md): the oracle schedule is
 // derived from baseline timing, so power-outage boundaries in pass 2 can
@@ -19,114 +27,60 @@ import "edbp/internal/cache"
 // accesses, the shift is second-order (it only moves which instant the
 // leakage savings begin).
 
-// gateOrder is one scheduled deactivation.
-type gateOrder struct {
-	addr uint64
-	// tail is how long the block stayed dead after its last use in the
-	// recording pass, in seconds. Dirty blocks are gated only when the
-	// leakage saved over the tail exceeds the early-writeback cost.
-	tail float64
-}
-
-// OracleRecorder builds the ideal gating schedule during the recording
-// pass. It implements metrics.Listener.
-type OracleRecorder struct {
-	ways     int
-	open     []recGen
-	schedule map[uint64][]gateOrder
-}
-
-type recGen struct {
-	active    bool
-	addr      uint64
-	lastEvent uint64
-	lastUse   float64
-}
-
-// NewOracleRecorder returns a recorder for a sets×ways cache.
-func NewOracleRecorder(sets, ways int) *OracleRecorder {
-	return &OracleRecorder{
-		ways:     ways,
-		open:     make([]recGen, sets*ways),
-		schedule: make(map[uint64][]gateOrder),
-	}
-}
-
-// BlockFilled implements metrics.Listener.
-func (r *OracleRecorder) BlockFilled(set, way int, addr uint64, event uint64, now float64) {
-	g := &r.open[set*r.ways+way]
-	if g.active {
-		// Defensive: the simulator ends generations before refilling.
-		r.closeGen(g, now)
-	}
-	*g = recGen{active: true, addr: addr, lastEvent: event, lastUse: now}
-}
-
-// BlockHit implements metrics.Listener.
-func (r *OracleRecorder) BlockHit(set, way int, event uint64, now float64) {
-	g := &r.open[set*r.ways+way]
-	if g.active {
-		g.lastEvent = event
-		g.lastUse = now
-	}
-}
-
-// BlockGated implements metrics.Listener (never fires in a baseline pass).
-func (r *OracleRecorder) BlockGated(int, int, uint64, float64) {}
-
-// BlockWrongKill implements metrics.Listener (never fires in a baseline
-// pass).
-func (r *OracleRecorder) BlockWrongKill(int, int, uint64, float64) {}
-
-// BlockEvicted implements metrics.Listener.
-func (r *OracleRecorder) BlockEvicted(set, way int, _ uint64, now float64) {
-	g := &r.open[set*r.ways+way]
-	if g.active {
-		r.closeGen(g, now)
-	}
-}
-
-// BlockLostAtOutage implements metrics.Listener.
-func (r *OracleRecorder) BlockLostAtOutage(set, way int, _ uint64, now float64) {
-	g := &r.open[set*r.ways+way]
-	if g.active {
-		r.closeGen(g, now)
-	}
-}
-
-func (r *OracleRecorder) closeGen(g *recGen, end float64) {
-	r.schedule[g.lastEvent] = append(r.schedule[g.lastEvent], gateOrder{
-		addr: g.addr,
-		tail: end - g.lastUse,
-	})
-	g.active = false
-}
-
-// Schedule finalizes and returns the oracle schedule, flushing any
-// still-open generations as ending at endTime.
-func (r *OracleRecorder) Schedule(endTime float64) map[uint64][]gateOrder {
-	for i := range r.open {
-		if r.open[i].active {
-			r.closeGen(&r.open[i], endTime)
-		}
-	}
-	return r.schedule
-}
-
-// Ideal replays an oracle schedule. It implements Predictor plus the
-// EventAware extension the simulator probes for.
+// Ideal replays an oracle schedule. The simulator holds it directly: it
+// compares each trace event's index against Next and calls GateThrough
+// once an event reaches it, so the predictor's Tick, OnVoltage and
+// AfterAccess are no-ops the engine skips.
 type Ideal struct {
-	env      Env
-	schedule map[uint64][]gateOrder
-	// DirtyTailThreshold is the minimum dead-tail duration (seconds) that
-	// justifies gating a *dirty* block (early writeback costs more than a
-	// checkpoint save, so short tails are better left powered).
+	env Env
+	// schedule is one metrics.LastUse per recorded generation, stably
+	// sorted by Event; schedule[next:] has not been gated yet.
+	schedule []metrics.LastUse
+	next     int
+	// DirtyTailThreshold is the minimum dead tail (seconds) for which a
+	// *dirty* block is gated: below it the block is left powered. The
+	// simulator passes 0, so it gates every dirty dead block (see
+	// sim.runIdeal for why).
 	DirtyTailThreshold float64
 }
 
-// NewIdeal builds the replay predictor from a recorder.
-func NewIdeal(rec *OracleRecorder, endTime float64, dirtyTailThreshold float64) *Ideal {
-	return &Ideal{schedule: rec.Schedule(endTime), DirtyTailThreshold: dirtyTailThreshold}
+// NewIdeal builds the replay predictor from the recording pass's closed
+// generations, given in closing order. It sorts schedule in place, stably
+// by Event, so blocks whose last use was the same event are gated in the
+// order their generations closed.
+func NewIdeal(schedule []metrics.LastUse, dirtyTailThreshold float64) *Ideal {
+	slices.SortStableFunc(schedule, func(a, b metrics.LastUse) int { return cmp.Compare(a.Event, b.Event) })
+	return &Ideal{schedule: schedule, DirtyTailThreshold: dirtyTailThreshold}
+}
+
+// Next returns the trace event of the next scheduled gate, or
+// math.MaxUint64 when none remains. It is safe on a nil *Ideal, which has
+// nothing scheduled.
+func (p *Ideal) Next() uint64 {
+	if p == nil || p.next == len(p.schedule) {
+		return math.MaxUint64
+	}
+	return p.schedule[p.next].Event
+}
+
+// GateThrough gates every scheduled block whose last use was at or before
+// trace event index, moves the cursor past them, and returns Next. The
+// simulator calls it after event index completed.
+func (p *Ideal) GateThrough(index uint64) uint64 {
+	for p.next < len(p.schedule) && p.schedule[p.next].Event <= index {
+		o := &p.schedule[p.next]
+		p.next++
+		way, _ := p.env.Cache.Lookup(o.Addr)
+		if way < 0 {
+			continue // pass-2 divergence: block not resident; skip
+		}
+		set, _ := p.env.Cache.Index(o.Addr)
+		if p.env.Cache.Block(set, way).Dirty && o.Tail < p.DirtyTailThreshold {
+			continue
+		}
+		p.env.GateBlock(set, way)
+	}
+	return p.Next()
 }
 
 // Name implements Predictor.
@@ -134,34 +88,6 @@ func (p *Ideal) Name() string { return "ideal" }
 
 // Attach implements Predictor.
 func (p *Ideal) Attach(env Env) { p.env = env }
-
-// EventAware is implemented by predictors that key decisions off trace
-// event indices. The simulator calls AfterEvent once per trace event,
-// after the event's access (if any) completed.
-type EventAware interface {
-	AfterEvent(index uint64)
-}
-
-// AfterEvent implements EventAware: gate everything whose final use was
-// this event.
-func (p *Ideal) AfterEvent(index uint64) {
-	orders, ok := p.schedule[index]
-	if !ok {
-		return
-	}
-	for _, o := range orders {
-		way, _ := p.env.Cache.Lookup(o.addr)
-		if way < 0 {
-			continue // pass-2 divergence: block not resident; skip
-		}
-		set, _ := p.env.Cache.Index(o.addr)
-		b := p.env.Cache.Block(set, way)
-		if b.Dirty && o.tail < p.DirtyTailThreshold {
-			continue
-		}
-		p.env.GateBlock(set, way)
-	}
-}
 
 // AfterAccess implements Predictor.
 func (p *Ideal) AfterAccess(cache.AccessResult) {}

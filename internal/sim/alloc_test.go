@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"edbp/internal/energy"
+	"edbp/internal/predictor"
 	"edbp/internal/trace"
 	"edbp/internal/workload"
 )
@@ -63,7 +65,8 @@ func TestSteadyStateZeroAllocsTraced(t *testing.T) {
 // hoist, inlined cache probes, flush arithmetic, settle — allocates
 // nothing, with and without a trace recorder attached. The windows advance
 // through the real recorded trace, so region transitions and tick chunks
-// are exercised, not just memory events.
+// are exercised, not just memory events. The Ideal rows measure the
+// oracle's replay pass, whose windows also run its scheduled gates.
 func TestBatchedSteadyStateZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -72,8 +75,10 @@ func TestBatchedSteadyStateZeroAllocs(t *testing.T) {
 	}{
 		{"NVSRAMCache", Baseline, false},
 		{"EDBP", EDBP, false},
+		{"Ideal", Ideal, false},
 		{"NVSRAMCache/traced", Baseline, true},
 		{"EDBP/traced", EDBP, true},
+		{"Ideal/traced", Ideal, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var rec *trace.Recorder
@@ -95,10 +100,14 @@ func TestBatchedSteadyStateZeroAllocs(t *testing.T) {
 			for lo < 4096 {
 				next()
 			}
+			gateFrom := e.ideal.Next()
 			// 2000 measured windows plus warm-up stay inside the trace
 			// (crc32 at 0.25 has ~200k events), so no wrap-around is needed.
 			if avg := testing.AllocsPerRun(2000, next); avg != 0 {
 				t.Errorf("steady-state batch window allocates %.2f times per window, want 0", avg)
+			}
+			if tc.scheme == Ideal && e.ideal.Next() == gateFrom {
+				t.Error("the oracle's cursor did not move — no scheduled gate was exercised")
 			}
 			if tc.traced && rec.Summary().Samples == 0 {
 				t.Error("recorder took no samples — the traced path was not exercised")
@@ -129,7 +138,14 @@ func steadyEngineRec(t *testing.T, scheme Scheme, rec *trace.Recorder) *engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(cfg, trace, nil)
+	var oracle predictor.Predictor
+	if scheme == Ideal {
+		// The oracle's replay pass, fed by a full recording pass.
+		if oracle, err = recordIdeal(context.Background(), cfg, trace, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, err := newEngine(cfg, trace, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,10 +322,10 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 		batchCap                         = e.batchCap
 		icIsSRAM                         = e.icSRAM != nil
 		dc, ic                           = e.dc, e.ic
-		predNone                         = e.predNone
+		predIdle                         = e.predIdle
 		tickFree                         = e.tickFreePred
 		icPred                           = e.icPred
-		tickCall                         = (!e.predNone && !e.tickFreePred) || e.icPred != nil
+		tickCall                         = (!e.predIdle && !e.tickFreePred) || e.icPred != nil
 		ladderOn                         = e.ovLadder != nil && e.icPred == nil
 		ovSkip                           = e.ovFree && e.icPred == nil
 		ladderE                          = e.ladderE
@@ -333,12 +333,11 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 		sampler                          = e.sampler
 		rec                              = e.rec
 		icTracker                        = e.icTracker
-		solo                             = e.soloTracker
 		dcv                              = e.dc.HitView()
 		icv                              = e.ic.HitView()
 		icFast                           = e.icPred == nil && icv.Stack != nil
-		dcFast                           = e.soloTracker && dcv.Stack != nil
-		eventAware                       = e.eventAware
+		dcFast                           = dcv.Stack != nil
+		nextGate                         = e.ideal.Next()
 		done                             = e.done
 	)
 
@@ -368,10 +367,8 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 				tickLeft = int(arg)
 				if tickLeft <= 0 {
 					// Empty tick: no flush, but the event still completes.
-					if eventAware != nil {
-						e.eventIdx = uint64(i)
-						e.now = h.now
-						eventAware.AfterEvent(uint64(i))
+					if uint64(i) >= nextGate {
+						nextGate = e.idealGate(uint64(i), h.now)
 					}
 					i++
 					continue
@@ -382,8 +379,8 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 				e.eventIdx = uint64(i)
 				e.hotSettle(h)
 				e.execBranch(op == workload.OpEnter, int(arg))
-				if eventAware != nil {
-					eventAware.AfterEvent(uint64(i))
+				if uint64(i) >= nextGate {
+					nextGate = e.idealGate(uint64(i), e.now)
 				}
 				h = e.hotLoad()
 				i++
@@ -596,7 +593,7 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 							}
 							fast = true
 							dcDyn = dcE
-							if !predNone {
+							if !predIdle {
 								e.eventIdx = uint64(i)
 								e.now = h.now
 								e.fetch.SetHot(h.pc, h.block) // RefTrace reads env.PC here
@@ -629,15 +626,8 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 						memE += memWriteE
 					}
 				}
-				blockAddr := uint64(arg) & blockMask
-				if solo {
-					notifyTracker(e.tracker, res, blockAddr, uint64(i), h.now)
-				} else {
-					for _, l := range e.listeners {
-						notifyListener(l, res, blockAddr, uint64(i), h.now)
-					}
-				}
-				if !predNone {
+				notifyTracker(e.tracker, res, uint64(arg)&blockMask, uint64(i), h.now)
+				if !predIdle {
 					e.eventIdx = uint64(i)
 					e.now = h.now
 					e.fetch.SetHot(h.pc, h.block) // RefTrace reads env.PC here
@@ -740,7 +730,7 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 			e.eventIdx = uint64(i)
 			e.now = h.now
 			e.fetch.SetHot(h.pc, h.block)
-			if !predNone && !tickFree {
+			if !predIdle && !tickFree {
 				e.pred.Tick(cycles)
 			}
 			if icPred != nil {
@@ -809,7 +799,7 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 				e.eventIdx = uint64(i)
 				e.now = h.now
 				e.fetch.SetHot(h.pc, h.block)
-				if !predNone {
+				if !predIdle {
 					v := e.cap.VoltageAt(h.capE)
 					e.pred.OnVoltage(v)
 					if icPred != nil {
@@ -830,13 +820,11 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 				continue // next chunk of the same tick event
 			}
 			// execTicks abandons remaining chunks on truncation or
-			// cancellation, but the event's AfterEvent hook still fires.
+			// cancellation, but the event's Ideal gates still fire.
 			tickLeft = 0
 		}
-		if eventAware != nil {
-			e.eventIdx = uint64(i)
-			e.now = h.now
-			eventAware.AfterEvent(uint64(i))
+		if uint64(i) >= nextGate {
+			nextGate = e.idealGate(uint64(i), h.now)
 		}
 		i++
 	}

@@ -42,15 +42,17 @@ type engine struct {
 	cycleTime float64
 	mcuPower  float64
 
-	pred       predictor.Predictor // data cache predictor stack
-	icPred     predictor.Predictor // optional I-cache predictor stack
-	filter     checkpoint.Filter
-	edbp       *core.EDBP
-	eventAware predictor.EventAware
+	pred   predictor.Predictor // data cache predictor stack
+	icPred predictor.Predictor // optional I-cache predictor stack
+	filter checkpoint.Filter
+	edbp   *core.EDBP
+	// ideal is the Ideal oracle on its replay pass, nil otherwise. Both
+	// replay loops compare each event index against its cursor (Next) and
+	// call GateThrough when an event reaches it.
+	ideal *predictor.Ideal
 
 	tracker   *metrics.Tracker
 	icTracker *metrics.Tracker
-	listeners []metrics.Listener // data cache listeners (tracker + extras)
 	profile   *metrics.ZombieProfile
 
 	// rec is the attached trace recorder, nil for untraced runs. Every
@@ -65,8 +67,7 @@ type engine struct {
 	// hoisted here (see DESIGN.md §Performance).
 	power          func(float64) float64 // src.Power, via an incremental cursor for traces
 	sampler        func(t, v float64, on bool)
-	soloTracker    bool    // listeners == [tracker]: devirtualized notification path
-	predNone       bool    // predictor.None: skip Tick/OnVoltage/AfterAccess entirely
+	predIdle       bool    // predictor.None or Ideal: skip Tick/OnVoltage/AfterAccess entirely
 	eCkpt          float64 // stored energy at which Voltage() first compares >= VCkpt
 	eRst           float64 // stored energy at which Voltage() first compares >= VRst
 	dcLeakCoef     float64 // dcModel.LeakPower * cfg.DCacheLeakFactor
@@ -186,11 +187,9 @@ type trainer interface {
 	Train(addr uint64, uses uint32)
 }
 
-// newEngine wires a run together. extra listeners (e.g. the Ideal
-// recorder) observe data cache block lifecycle events; predOverride, when
-// non-nil, replaces the scheme-derived data cache predictor (used for the
-// Ideal replay pass).
-func newEngine(cfg Config, trace *workload.Trace, predOverride predictor.Predictor, extra ...metrics.Listener) (*engine, error) {
+// newEngine wires a run together. predOverride, when non-nil, replaces the
+// scheme-derived data cache predictor (used for the Ideal replay pass).
+func newEngine(cfg Config, trace *workload.Trace, predOverride predictor.Predictor) (*engine, error) {
 	capac, err := energy.NewCapacitor(cfg.Capacitor)
 	if err != nil {
 		return nil, err
@@ -317,13 +316,6 @@ func newEngine(cfg Config, trace *workload.Trace, predOverride predictor.Predict
 	}
 	e.memLeakPow = e.mem.Leak
 
-	e.listeners = append(e.listeners, e.tracker)
-	e.listeners = append(e.listeners, extra...)
-	// The common case is exactly one listener — the engine's own tracker.
-	// Notifications then go through direct struct calls instead of the
-	// interface slice (the slice path remains for the Ideal recording pass).
-	e.soloTracker = len(e.listeners) == 1
-
 	if cfg.CollectZombieProfile {
 		e.profile, err = metrics.NewZombieProfile(cfg.Monitor.VCkpt, cfg.Capacitor.VMax, 12)
 		if err != nil {
@@ -361,7 +353,11 @@ func newEngine(cfg Config, trace *workload.Trace, predOverride predictor.Predict
 	if e.edbp != nil && e.rec != nil {
 		e.edbp.SetSink(e.rec)
 	}
-	_, e.predNone = e.pred.(predictor.None)
+	// Ideal's per-access and per-flush hooks are no-ops like None's: it
+	// gates from its schedule cursor in the replay loops instead.
+	e.ideal, _ = e.pred.(*predictor.Ideal)
+	_, none := e.pred.(predictor.None)
+	e.predIdle = none || e.ideal != nil
 	// Resolve the outage-training hook once instead of per power failure;
 	// a training checkpoint filter (SDBP) takes precedence over the
 	// predictor stack.
@@ -382,9 +378,9 @@ func newEngine(cfg Config, trace *workload.Trace, predOverride predictor.Predict
 	}
 
 	// Batched-replay probes and the worst-case drain table (batch.go).
-	e.tickFreePred = e.predNone || predTickFree(e.pred)
+	e.tickFreePred = e.predIdle || predTickFree(e.pred)
 	var ladders []predictor.VoltageLadder
-	if e.predNone || collectVoltageClass(e.pred, &ladders) {
+	if e.predIdle || collectVoltageClass(e.pred, &ladders) {
 		switch len(ladders) {
 		case 0:
 			e.ovFree = true
@@ -521,7 +517,7 @@ func buildPredictor(cfg Config, ways int) (predictor.Predictor, error) {
 }
 
 // probeScheme discovers special predictor capabilities (checkpoint
-// filtering, event awareness, EDBP state) anywhere in the stack.
+// filtering, EDBP state) anywhere in the stack.
 func probeScheme(p predictor.Predictor, e *engine) {
 	switch v := p.(type) {
 	case *predictor.Combine:
@@ -536,9 +532,6 @@ func probeScheme(p predictor.Predictor, e *engine) {
 	}
 	if ed, ok := p.(*core.EDBP); ok {
 		e.edbp = ed
-	}
-	if ea, ok := p.(predictor.EventAware); ok {
-		e.eventAware = ea
 	}
 }
 
@@ -581,7 +574,7 @@ func (e *engine) pollCancel() bool {
 // ------------------------------------------------------------- gating --
 
 // gateDCache powers a data cache block off on a predictor's behalf,
-// charging the dirty writeback and notifying the lifecycle listeners.
+// charging the dirty writeback and notifying the tracker.
 func (e *engine) gateDCache(set, way int) {
 	wasDirty, gated := e.dc.Gate(set, way)
 	if !gated {
@@ -590,13 +583,7 @@ func (e *engine) gateDCache(set, way int) {
 	if wasDirty {
 		e.pendingWB++
 	}
-	if e.soloTracker {
-		e.tracker.BlockGated(set, way, e.eventIdx, e.now)
-		return
-	}
-	for _, l := range e.listeners {
-		l.BlockGated(set, way, e.eventIdx, e.now)
-	}
+	e.tracker.BlockGated(set, way, e.eventIdx, e.now)
 }
 
 // gateICache is the instruction cache twin (Figure 18 configurations);
@@ -640,9 +627,9 @@ func (e *engine) flush(dt, dcDyn, icDyn, memDyn float64) {
 	e.now += dt
 	e.res.ActiveTime += dt
 
-	if !e.predNone || e.icPred != nil {
+	if !e.predIdle || e.icPred != nil {
 		cycles := uint64(dt/e.cycleTime + 0.5)
-		if !e.predNone {
+		if !e.predIdle {
 			e.pred.Tick(cycles)
 		}
 		if e.icPred != nil {
@@ -671,7 +658,7 @@ func (e *engine) flush(dt, dcDyn, icDyn, memDyn float64) {
 		e.powerFailure()
 		return
 	}
-	if !e.predNone {
+	if !e.predIdle {
 		v := e.cap.Voltage()
 		e.pred.OnVoltage(v)
 		if e.icPred != nil {
@@ -751,8 +738,7 @@ func (e *engine) icLeakPower() float64 {
 
 // notifyTracker forwards one cache access outcome to a tracker through
 // direct struct calls. It is the single notification path for both caches
-// (data and instruction) on the common solo-tracker configuration; the
-// Ideal recording pass goes through notifyListener instead.
+// (data and instruction).
 func notifyTracker(t *metrics.Tracker, res *cache.AccessResult, blockAddr, event uint64, now float64) {
 	if res.WrongKill {
 		t.BlockWrongKill(res.Set, res.Way, event, now)
@@ -764,22 +750,6 @@ func notifyTracker(t *metrics.Tracker, res *cache.AccessResult, blockAddr, event
 		t.BlockFilled(res.Set, res.Way, blockAddr, event, now)
 	} else if res.Hit {
 		t.BlockHit(res.Set, res.Way, event, now)
-	}
-}
-
-// notifyListener is notifyTracker's interface twin for the multi-listener
-// slow path (extra listeners only exist on the Ideal recording pass).
-func notifyListener(l metrics.Listener, res *cache.AccessResult, blockAddr, event uint64, now float64) {
-	if res.WrongKill {
-		l.BlockWrongKill(res.Set, res.Way, event, now)
-	}
-	if res.Evicted {
-		l.BlockEvicted(res.Set, res.Way, event, now)
-	}
-	if res.Filled {
-		l.BlockFilled(res.Set, res.Way, blockAddr, event, now)
-	} else if res.Hit {
-		l.BlockHit(res.Set, res.Way, event, now)
 	}
 }
 
@@ -856,15 +826,8 @@ func (e *engine) execMem(addr uint64, write bool) {
 		}
 	}
 
-	blockAddr := addr & e.blockMask
-	if e.soloTracker {
-		notifyTracker(e.tracker, res, blockAddr, e.eventIdx, e.now)
-	} else {
-		for _, l := range e.listeners {
-			notifyListener(l, res, blockAddr, e.eventIdx, e.now)
-		}
-	}
-	if !e.predNone {
+	notifyTracker(e.tracker, res, addr&e.blockMask, e.eventIdx, e.now)
+	if !e.predIdle {
 		e.pred.AfterAccess(*res)
 	}
 
@@ -929,13 +892,7 @@ func (e *engine) powerFailure() {
 			if tr != nil && !b.Gated {
 				tr.Train(e.dc.BlockAddr(s, b.Tag), b.Uses)
 			}
-			if e.soloTracker {
-				e.tracker.BlockLostAtOutage(s, w, e.eventIdx, e.now)
-			} else {
-				for _, l := range e.listeners {
-					l.BlockLostAtOutage(s, w, e.eventIdx, e.now)
-				}
-			}
+			e.tracker.BlockLostAtOutage(s, w, e.eventIdx, e.now)
 		}
 	}
 	if e.profile != nil {
@@ -1085,6 +1042,7 @@ func (e *engine) run() (*Result, error) {
 // the golden reference the batched path (batch.go) must match bit for bit.
 func (e *engine) runStepper() (*Result, error) {
 	events := e.trace.Events
+	nextGate := e.ideal.Next()
 	for i := range events {
 		if e.truncated || e.cancelErr != nil {
 			break
@@ -1110,11 +1068,19 @@ func (e *engine) runStepper() (*Result, error) {
 		default:
 			return nil, fmt.Errorf("sim: unknown trace op %d", ev.Op)
 		}
-		if e.eventAware != nil {
-			e.eventAware.AfterEvent(uint64(i))
+		if uint64(i) >= nextGate {
+			nextGate = e.idealGate(uint64(i), e.now)
 		}
 	}
 	return e.finish()
+}
+
+// idealGate runs the Ideal oracle's gates due once event i completed at
+// simulated time now, and returns the event of the next one.
+func (e *engine) idealGate(i uint64, now float64) uint64 {
+	e.eventIdx = i
+	e.now = now
+	return e.ideal.GateThrough(i)
 }
 
 // finish closes the run: open block generations, trace summary, result

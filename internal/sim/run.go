@@ -114,39 +114,43 @@ func runContextMode(ctx context.Context, cfg Config, refStepper bool) (*Result, 
 // runIdeal drives the two-pass oracle. Both passes honor ctx; a canceled
 // recording pass aborts the protocol (its schedule would be incomplete).
 func runIdeal(ctx context.Context, cfg Config, trace *workload.Trace, refStepper bool) (*Result, error) {
-	// Pass 1: baseline with a recorder listening to block lifecycles. The
-	// trace recorder (if any) observes only the reported replay pass, so it
-	// is detached here — otherwise pass 2's StartRun would wipe pass 1's
-	// recording mid-Run and the summary would mix the two passes.
+	oracle, err := recordIdeal(ctx, cfg, trace, refStepper)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newEngine(cfg, trace, oracle)
+	if err != nil {
+		return nil, err
+	}
+	e.refStepper = refStepper
+	e.bindContext(ctx)
+	return e.run()
+}
+
+// recordIdeal runs the oracle's pass 1, a baseline run whose tracker keeps
+// every closed generation's last use, and returns the pass-2 predictor.
+func recordIdeal(ctx context.Context, cfg Config, trace *workload.Trace, refStepper bool) (*predictor.Ideal, error) {
+	// The trace recorder (if any) observes only the reported replay pass,
+	// so it is detached here — otherwise pass 2's StartRun would wipe pass
+	// 1's recording mid-Run and the summary would mix the two passes.
 	passCfg := cfg
 	passCfg.Scheme = Baseline
 	passCfg.CollectZombieProfile = false
 	passCfg.Recorder = nil
-	dcCfg := passCfg.dcacheConfig()
-	rec := predictor.NewOracleRecorder(dcCfg.Sets(), dcCfg.Ways)
-	e1, err := newEngine(passCfg, trace, nil, rec)
+	e, err := newEngine(passCfg, trace, nil)
 	if err != nil {
 		return nil, err
 	}
-	e1.refStepper = refStepper
-	e1.bindContext(ctx)
-	base, err := e1.run()
-	if err != nil {
+	e.tracker.RecordLastUses()
+	e.refStepper = refStepper
+	e.bindContext(ctx)
+	if _, err := e.run(); err != nil {
 		return nil, fmt.Errorf("sim: ideal recording pass: %w", err)
 	}
 
-	// Pass 2: replay with the oracle schedule. Dirty dead blocks are gated
-	// too: their writeback is not an extra cost but the same writeback an
-	// eventual eviction would pay, moved earlier — while the leakage and
-	// the per-outage checkpoint/restore of the dead block are pure
-	// savings.
-	oracle := predictor.NewIdeal(rec, base.WallTime, 0)
-
-	e2, err := newEngine(cfg, trace, oracle)
-	if err != nil {
-		return nil, err
-	}
-	e2.refStepper = refStepper
-	e2.bindContext(ctx)
-	return e2.run()
+	// Dirty dead blocks are gated too (threshold 0): their writeback is not
+	// an extra cost but the same writeback an eventual eviction would pay,
+	// moved earlier — while the leakage and the per-outage
+	// checkpoint/restore of the dead block are pure savings.
+	return predictor.NewIdeal(e.tracker.LastUses(), 0), nil
 }
