@@ -2,14 +2,13 @@
 // seeded, reproducible sweep over capacitor sizes, checkpoint thresholds,
 // cache geometries, NVM technologies and harvesting environments, with
 // every result checked against the invariant catalog (forward progress,
-// batched-vs-stepper bit-identity, counter conservation, cancellation
-// safety, value domains).
+// counter conservation, cancellation safety, value domains).
 //
 // Usage:
 //
 //	edbpfuzz -seeds 1000                          # 1000-case campaign
 //	edbpfuzz -seeds 200 -budget 60s -wcet         # CI smoke configuration
-//	edbpfuzz -seed 7 -invariant cycle-conservation,ref-identity
+//	edbpfuzz -seed 7 -invariant cycle-conservation,cancel-partial
 //
 // The same -seed always reproduces the same corpus, the same violations
 // and a byte-identical report (when -budget does not cut the run short).
@@ -55,7 +54,6 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		workers     = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		invariants  = fs.String("invariant", "", "comma-separated invariant names to check (empty = the full catalog)")
 		wcet        = fs.Bool("wcet", false, "add the per-(kernel, environment) worst-case completion-time table")
-		refEvery    = fs.Int("ref-every", 0, "replay every Nth case through the reference stepper (0 = default 16, negative = off)")
 		cancelEvery = fs.Int("cancel-every", 0, "cancel every Nth case mid-run and validate the partial (0 = default 8, negative = off)")
 		reproOut    = fs.String("repro-out", "", "write the shrunk minimal reproducer to this file on violation")
 		noShrink    = fs.Bool("no-shrink", false, "skip shrinking on violation (report only)")
@@ -82,7 +80,6 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		Cases:       *seeds,
 		Workers:     *workers,
 		Budget:      *budget,
-		RefEvery:    *refEvery,
 		CancelEvery: *cancelEvery,
 		WCET:        *wcet,
 		Registry:    obs.NewRegistry(),

@@ -131,11 +131,28 @@ func (m *Metrics) framed() {
 	}
 }
 
+// dispatchIdlePerWorker is how many idle connections the default dispatch
+// client keeps open to each worker: edbpd's default -queue depth, the most
+// cells one worker holds at once. http.DefaultTransport keeps 2, so every
+// grid that sent a worker more concurrent cells dialed new connections
+// for the rest and closed them again afterwards.
+const dispatchIdlePerWorker = 64
+
+// dispatchClient is the client a Coordinator with a nil Client uses: the
+// default transport's settings, with dispatchIdlePerWorker idle
+// connections kept per worker and no fleet-wide idle cap.
+var dispatchClient = func() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0
+	tr.MaxIdleConnsPerHost = dispatchIdlePerWorker
+	return &http.Client{Transport: tr}
+}()
+
 // Coordinator routes runs to the worker owning their config hash and
 // supervises them to completion.
 type Coordinator struct {
 	Members *Membership
-	Client  *http.Client // nil: http.DefaultClient
+	Client  *http.Client // nil: dispatchClient
 
 	// SubmitBackoff is how long to wait before re-submitting to a worker
 	// whose bounded queue was full (default 50ms).
@@ -155,7 +172,7 @@ func (c *Coordinator) client() *http.Client {
 	if c.Client != nil {
 		return c.Client
 	}
-	return http.DefaultClient
+	return dispatchClient
 }
 
 func (c *Coordinator) submitBackoff() time.Duration {

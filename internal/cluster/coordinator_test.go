@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,6 +29,7 @@ type stubWorker struct {
 	cutStream     bool         // every stream ends without a complete terminal frame
 	queueFullLeft atomic.Int32 // respond 503 queue_full this many times
 	runs          atomic.Int32 // runs actually executed
+	conns         atomic.Int32 // TCP connections accepted
 
 	mu       sync.Mutex
 	requests []string // "METHOD /path" of every request, in arrival order
@@ -44,7 +46,13 @@ func newStubWorker(t *testing.T, id string) *stubWorker {
 		w.logRequest(r)
 		rw.WriteHeader(http.StatusNotFound)
 	})
-	w.ts = httptest.NewServer(mux)
+	w.ts = httptest.NewUnstartedServer(mux)
+	w.ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			w.conns.Add(1)
+		}
+	}
+	w.ts.Start()
 	t.Cleanup(w.ts.Close)
 	return w
 }
@@ -475,6 +483,43 @@ finished:
 		if st.Node != owner.ID {
 			t.Errorf("entry %s ran on %s, ring owner is %s", st.Key, st.Node, owner.ID)
 		}
+	}
+}
+
+// TestGridReusesConnections: a grid sending one worker more concurrent
+// cells than http.DefaultTransport keeps idle per host (2) leaves its
+// connections open for the next grid, which dials none.
+func TestGridReusesConnections(t *testing.T) {
+	c, workers := testFleet(t, 1)
+	w := workers[0]
+	w.runDelay = 10 * time.Millisecond
+	grid := func(id string) {
+		t.Helper()
+		entries := make([]GridEntry, 6)
+		for i := range entries {
+			entries[i] = GridEntry{
+				Key:  fmt.Sprintf("%s-%d", id, i),
+				Body: []byte(fmt.Sprintf(`{"app":"crc32","seed":%d}`, i+1)),
+			}
+		}
+		g := c.StartGrid(context.Background(), id, entries, nil)
+		select {
+		case <-g.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never finished", id)
+		}
+		if sum := g.Summary(); sum.Done != 6 {
+			t.Fatalf("%s: %+v, want 6 cells done", id, sum)
+		}
+	}
+	grid("grid-1")
+	opened := w.conns.Load()
+	if opened <= 2 {
+		t.Fatalf("the first grid opened %d connections; its 6 concurrent cells should need more than 2", opened)
+	}
+	grid("grid-2")
+	if n := w.conns.Load() - opened; n != 0 {
+		t.Errorf("the second grid opened %d new connections, want 0 (the first grid's %d stay idle for reuse)", n, opened)
 	}
 }
 

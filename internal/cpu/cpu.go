@@ -178,8 +178,8 @@ func (f *Fetcher) PC() uint32 { return f.pc }
 // Hot returns the fetcher's per-instruction state — the program counter
 // and the currently fetched I-cache block — so a batched replay loop can
 // hoist both into locals. The region stack and current-region index are
-// deliberately excluded: they only change on Enter/Leave, which batched
-// loops route through the regular path.
+// deliberately excluded: they only change on Enter/Leave, which a batched
+// loop calls between SetHot and a fresh Hot/Bounds read.
 func (f *Fetcher) Hot() (pc, block uint32) { return f.pc, f.block }
 
 // SetHot writes back state previously obtained from Hot (possibly advanced

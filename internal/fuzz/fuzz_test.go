@@ -94,8 +94,8 @@ func TestGenerateValidByConstruction(t *testing.T) {
 }
 
 // TestCampaignAllGreen is the in-tree slice of the acceptance criterion:
-// a campaign across all twelve schemes with reference replays, cancel
-// probes, statistics and WCET enabled must execute every case and find
+// a campaign across all twelve schemes with cancel probes, statistics and
+// WCET enabled must execute every case and find
 // zero invariant violations.
 func TestCampaignAllGreen(t *testing.T) {
 	if testing.Short() {
@@ -114,8 +114,8 @@ func TestCampaignAllGreen(t *testing.T) {
 	for _, v := range c.Violations {
 		t.Errorf("violation: %s", v)
 	}
-	if c.RefChecks == 0 || c.CancelProbes == 0 {
-		t.Errorf("probes did not run: refChecks=%d cancelProbes=%d", c.RefChecks, c.CancelProbes)
+	if c.CancelProbes == 0 {
+		t.Error("cancellation probes did not run")
 	}
 	if c.WCET == nil || len(c.WCET.Classes) == 0 {
 		t.Error("WCET report missing or empty")
@@ -214,7 +214,7 @@ func TestActiveCatalogFilter(t *testing.T) {
 // per-cycle sums, not dropped. The config is the shrinker's minimal
 // reproducer for the original violation.
 func TestTruncatedHibernationConservation(t *testing.T) {
-	a, err := Execute(context.Background(), Case{Index: 0, Seed: 1, Config: starvedConfig()}, Options{RefEvery: -1, CancelEvery: -1})
+	a, err := Execute(context.Background(), Case{Index: 0, Seed: 1, Config: starvedConfig()}, Options{CancelEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package fuzz
 import (
 	"fmt"
 	"math"
-	"reflect"
 
 	"edbp/internal/cache"
 	"edbp/internal/sim"
@@ -11,17 +10,14 @@ import (
 )
 
 // Artifacts is everything one executed case produced, handed to every
-// invariant check. Res and Summary are always set for a completed run; Ref
-// is set only on ref-identity sampled cases, Partial/CancelAt only on
-// cancellation-probed ones.
+// invariant check. Res and Summary are always set for a completed run;
+// Partial/CancelAt only on cancellation-probed ones.
 type Artifacts struct {
 	Case Case
-	// Res is the batched-replay result with a trace.Recorder attached.
+	// Res is the run's result with a trace.Recorder attached.
 	Res *sim.Result
 	// Summary is Res.TraceSummary (never nil for a completed run).
 	Summary *trace.Summary
-	// Ref is the sim.RunReference result for ref-checked cases.
-	Ref *sim.Result
 	// Partial is the finalized partial result of the cancellation probe;
 	// CancelAt is the powered-sample index the probe cancelled at. A probe
 	// whose run completed before the cancel point leaves Partial nil.
@@ -36,9 +32,9 @@ type Invariant struct {
 	Name string
 	Desc string
 	// Pure invariants look only at Artifacts already produced; the runner
-	// evaluates every pure invariant on every case. Non-pure entries
-	// (ref-identity, cancel-partial) depend on sampled probe artifacts and
-	// are skipped when the probe did not run.
+	// evaluates every pure invariant on every case. The non-pure entry
+	// (cancel-partial) depends on the sampled probe's artifacts and is
+	// skipped when the probe did not run.
 	Check func(a *Artifacts) error
 }
 
@@ -174,19 +170,6 @@ func Catalog() []Invariant {
 			},
 		},
 		{
-			Name: "ref-identity",
-			Desc: "the batched replay is bit-identical to the per-event reference stepper",
-			Check: func(a *Artifacts) error {
-				if a.Ref == nil {
-					return nil // not sampled for this case
-				}
-				if !reflect.DeepEqual(comparableResult(a.Res), comparableResult(a.Ref)) {
-					return fmt.Errorf("batched result diverges from sim.RunReference:\nbatched: %v\nref:     %v", a.Res, a.Ref)
-				}
-				return nil
-			},
-		},
-		{
 			Name: "cancel-partial",
 			Desc: "a cancelled run's partial result is finalized and well-formed",
 			Check: func(a *Artifacts) error {
@@ -275,19 +258,6 @@ func checkCacheStats(label string, s cache.Stats) error {
 		}
 	}
 	return nil
-}
-
-// comparable strips the fields that legitimately differ between the
-// batched run and its reference replay — the attached recorder and its
-// summary, the sampler hook, and the batching knob itself — leaving
-// everything the two loops must agree on bit for bit.
-func comparableResult(r *sim.Result) sim.Result {
-	c := *r
-	c.Config.Recorder = nil
-	c.Config.VoltageSampler = nil
-	c.Config.BatchCap = 0
-	c.TraceSummary = nil
-	return c
 }
 
 // checkConservation re-validates the tier-1 conservation identity on a

@@ -22,14 +22,13 @@ func Report(w io.Writer, c *Campaign) {
 	summary := &experiments.Table{
 		ID:     "Fuzz",
 		Title:  "configuration-matrix campaign",
-		Header: []string{"seed", "cases", "executed", "skipped", "truncated", "ref-checks", "cancel-probes", "violations"},
+		Header: []string{"seed", "cases", "executed", "skipped", "truncated", "cancel-probes", "violations"},
 		Rows: [][]string{{
 			fmt.Sprintf("%#x", c.Opts.Seed),
 			strconv.Itoa(len(c.Cases)),
 			strconv.Itoa(c.Executed),
 			strconv.Itoa(c.Skipped),
 			strconv.Itoa(c.Truncated),
-			strconv.Itoa(c.RefChecks),
 			strconv.Itoa(c.CancelProbes),
 			strconv.Itoa(len(c.Violations)),
 		}},

@@ -36,18 +36,16 @@ type Campaign struct {
 	Executed     int
 	Skipped      int
 	Truncated    int
-	RefChecks    int
 	CancelProbes int
 
 	Stats *Stats
 	WCET  *WCETReport
 }
 
-// Execute runs one case and collects its artifacts: the batched run with a
-// recorder attached, plus — on index-sampled cases — the reference-stepper
-// replay and the mid-run cancellation probe. Errors are infrastructure
-// failures (a rejected config, an outer cancellation), never invariant
-// violations.
+// Execute runs one case and collects its artifacts: the run with a
+// recorder attached, plus — on index-sampled cases — the mid-run
+// cancellation probe. Errors are infrastructure failures (a rejected
+// config, an outer cancellation), never invariant violations.
 func Execute(ctx context.Context, c Case, opts Options) (*Artifacts, error) {
 	opts = opts.normalize()
 	a := &Artifacts{Case: c}
@@ -66,15 +64,6 @@ func Execute(ctx context.Context, c Case, opts Options) (*Artifacts, error) {
 	}
 	a.Res = res
 	a.Summary = res.TraceSummary
-
-	if opts.RefEvery > 0 && c.Index%opts.RefEvery == 0 {
-		refCfg := c.Config
-		ref, err := sim.RunReference(ctx, refCfg)
-		if err != nil {
-			return nil, fmt.Errorf("reference replay: %w", err)
-		}
-		a.Ref = ref
-	}
 
 	if opts.CancelEvery > 0 && c.Index%opts.CancelEvery == 0 {
 		a.CancelAt = cancelPoint(c.Seed)
@@ -139,7 +128,7 @@ func runCancelProbe(ctx context.Context, cfg sim.Config, cancelAt int) (*sim.Res
 // nil-safe: with no registry configured every observation is a no-op.
 type campaignMetrics struct {
 	cases, skipped, truncated *obs.Counter
-	refChecks, cancelProbes   *obs.Counter
+	cancelProbes              *obs.Counter
 	simSeconds                *obs.Counter
 	violations                *obs.CounterVec
 	outages                   *obs.Histogram
@@ -150,7 +139,6 @@ func newCampaignMetrics(r *obs.Registry) campaignMetrics {
 		cases:        r.Counter("fuzz_cases_total", "fuzz cases executed to completion"),
 		skipped:      r.Counter("fuzz_cases_skipped_total", "fuzz cases skipped (budget exhausted or canceled)"),
 		truncated:    r.Counter("fuzz_truncated_runs_total", "runs that hit MaxSimTime before completing the workload"),
-		refChecks:    r.Counter("fuzz_ref_checks_total", "cases replayed through the reference stepper"),
 		cancelProbes: r.Counter("fuzz_cancel_probes_total", "cases probed with a mid-run cancellation"),
 		simSeconds:   r.Counter("fuzz_sim_seconds_total", "total simulated wall seconds across the corpus"),
 		violations:   r.CounterVec("fuzz_violations_total", "invariant violations found", "invariant"),
@@ -317,10 +305,6 @@ feed:
 		if r.Truncated {
 			c.Truncated++
 			m.truncated.Inc()
-		}
-		if a.Ref != nil {
-			c.RefChecks++
-			m.refChecks.Inc()
 		}
 		if a.Partial != nil {
 			c.CancelProbes++

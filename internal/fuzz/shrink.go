@@ -62,9 +62,8 @@ func shrinkSteps() []shrinkStep {
 // constraint) simply fail the "same violation" test and are discarded.
 func Shrink(ctx context.Context, v Violation, opts Options) (Case, int, error) {
 	opts = opts.normalize()
-	// Every candidate must run all probes: the violated invariant may be
-	// ref-identity or cancel-partial, which only sampled cases exercise.
-	opts.RefEvery = 1
+	// Every candidate must run the probe: the violated invariant may be
+	// cancel-partial, which only sampled cases exercise.
 	opts.CancelEvery = 1
 	catalog, err := activeCatalog(opts)
 	if err != nil {

@@ -64,13 +64,10 @@ func (c Counts) Rate() (tp, fp, tn, fn, zfn float64) {
 }
 
 // LastUse is one closed block generation as the Ideal oracle needs it:
-// the block's address, the trace event of its final access, and its dead
-// tail, the simulated seconds it stayed resident after that access until
-// the generation ended.
+// the block's address and the trace event of its final access.
 type LastUse struct {
 	Event uint64
 	Addr  uint64
-	Tail  float64
 }
 
 // gen is one in-flight generation.
@@ -197,7 +194,7 @@ func (t *Tracker) BlockLostAtOutage(set, way int, _ uint64, now float64) {
 // close classifies and retires a generation.
 func (t *Tracker) close(g *gen, outage bool, now float64) {
 	if t.recording {
-		t.lastUses = append(t.lastUses, LastUse{Event: g.lastEvent, Addr: g.addr, Tail: now - g.lastUse})
+		t.lastUses = append(t.lastUses, LastUse{Event: g.lastEvent, Addr: g.addr})
 	}
 	switch {
 	case g.gated:

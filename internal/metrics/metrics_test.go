@@ -221,7 +221,7 @@ func TestZombieProfileValidation(t *testing.T) {
 
 // TestRecordLastUses: once recording, every closed generation — evicted,
 // lost at an outage, refilled over a stale one, or flushed at the end —
-// leaves its last-use event, address and dead tail, in closing order; an
+// leaves its last-use event and address, in closing order; an
 // untouched tracker records nothing.
 func TestRecordLastUses(t *testing.T) {
 	plain := NewTracker(1, 1)
@@ -242,10 +242,10 @@ func TestRecordLastUses(t *testing.T) {
 	tr.BlockFilled(0, 0, 0x400, 11, 12.0) // stale generation closed by the refill
 	tr.FlushOpen(20.0)
 	want := []LastUse{
-		{Event: 3, Addr: 0x100, Tail: 4.0},
-		{Event: 4, Addr: 0x200, Tail: 5.0},
-		{Event: 10, Addr: 0x300, Tail: 2.0},
-		{Event: 11, Addr: 0x400, Tail: 8.0},
+		{Event: 3, Addr: 0x100},
+		{Event: 4, Addr: 0x200},
+		{Event: 10, Addr: 0x300},
+		{Event: 11, Addr: 0x400},
 	}
 	got := tr.LastUses()
 	if len(got) != len(want) {

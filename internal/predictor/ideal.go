@@ -37,20 +37,15 @@ type Ideal struct {
 	// sorted by Event; schedule[next:] has not been gated yet.
 	schedule []metrics.LastUse
 	next     int
-	// DirtyTailThreshold is the minimum dead tail (seconds) for which a
-	// *dirty* block is gated: below it the block is left powered. The
-	// simulator passes 0, so it gates every dirty dead block (see
-	// sim.runIdeal for why).
-	DirtyTailThreshold float64
 }
 
 // NewIdeal builds the replay predictor from the recording pass's closed
 // generations, given in closing order. It sorts schedule in place, stably
 // by Event, so blocks whose last use was the same event are gated in the
 // order their generations closed.
-func NewIdeal(schedule []metrics.LastUse, dirtyTailThreshold float64) *Ideal {
+func NewIdeal(schedule []metrics.LastUse) *Ideal {
 	slices.SortStableFunc(schedule, func(a, b metrics.LastUse) int { return cmp.Compare(a.Event, b.Event) })
-	return &Ideal{schedule: schedule, DirtyTailThreshold: dirtyTailThreshold}
+	return &Ideal{schedule: schedule}
 }
 
 // Next returns the trace event of the next scheduled gate, or
@@ -64,8 +59,9 @@ func (p *Ideal) Next() uint64 {
 }
 
 // GateThrough gates every scheduled block whose last use was at or before
-// trace event index, moves the cursor past them, and returns Next. The
-// simulator calls it after event index completed.
+// trace event index and is still resident, dirty ones included, moves the
+// cursor past them, and returns Next. The simulator calls it after event
+// index completed.
 func (p *Ideal) GateThrough(index uint64) uint64 {
 	for p.next < len(p.schedule) && p.schedule[p.next].Event <= index {
 		o := &p.schedule[p.next]
@@ -75,9 +71,6 @@ func (p *Ideal) GateThrough(index uint64) uint64 {
 			continue // pass-2 divergence: block not resident; skip
 		}
 		set, _ := p.env.Cache.Index(o.Addr)
-		if p.env.Cache.Block(set, way).Dirty && o.Tail < p.DirtyTailThreshold {
-			continue
-		}
 		p.env.GateBlock(set, way)
 	}
 	return p.Next()

@@ -18,9 +18,9 @@ func newRecorder(sets, ways int) *metrics.Tracker {
 
 // oracleFrom closes tr's open generations at endTime, as the simulator's
 // recording pass does at the end of its run, and builds the oracle.
-func oracleFrom(tr *metrics.Tracker, endTime, dirtyTailThreshold float64) *Ideal {
+func oracleFrom(tr *metrics.Tracker, endTime float64) *Ideal {
 	tr.FlushOpen(endTime)
-	return NewIdeal(tr.LastUses(), dirtyTailThreshold)
+	return NewIdeal(tr.LastUses())
 }
 
 // scheduledAt returns the oracle's gates whose last use was event, in the
@@ -54,18 +54,12 @@ func TestOracleRecorderSchedule(t *testing.T) {
 	rec.BlockFilled(1, 1, 0x200, 4, 4.0)
 	rec.BlockLostAtOutage(1, 1, 9, 9.0)
 
-	sched := oracleFrom(rec, 10.0, 0)
+	sched := oracleFrom(rec, 10.0)
 	if got := scheduledAt(sched, 3); len(got) != 1 || got[0].Addr != 0x100 {
 		t.Fatalf("schedule[3] = %+v, want gate of 0x100 after its last use", got)
 	}
-	if got := scheduledAt(sched, 3)[0].Tail; got != 4.0 {
-		t.Fatalf("tail = %g, want 4 (last use 3.0 → end 7.0)", got)
-	}
 	if got := scheduledAt(sched, 4); len(got) != 1 || got[0].Addr != 0x200 {
 		t.Fatalf("schedule[4] = %+v, want gate of 0x200 after its fill", got)
-	}
-	if got := scheduledAt(sched, 4)[0].Tail; got != 5.0 {
-		t.Fatalf("tail = %g, want 5 (last use 4.0 → outage 9.0)", got)
 	}
 	if n := len(sched.schedule); n != 2 {
 		t.Fatalf("schedule holds %d gates, want 2", n)
@@ -75,8 +69,8 @@ func TestOracleRecorderSchedule(t *testing.T) {
 func TestOracleRecorderFlushesOpenGens(t *testing.T) {
 	rec := newRecorder(1, 1)
 	rec.BlockFilled(0, 0, 0x100, 2, 2.0)
-	sched := oracleFrom(rec, 5.0, 0)
-	if got := scheduledAt(sched, 2); len(got) != 1 || got[0].Tail != 3.0 {
+	sched := oracleFrom(rec, 5.0)
+	if got := scheduledAt(sched, 2); len(got) != 1 || got[0].Addr != 0x100 {
 		t.Fatalf("open generation not flushed at the end time: %+v", sched.schedule)
 	}
 }
@@ -86,7 +80,7 @@ func TestIdealReplayGates(t *testing.T) {
 	rec := newRecorder(c.Sets(), c.Ways())
 	rec.BlockFilled(0, 0, 0x0, 5, 1.0)
 	rec.BlockEvicted(0, 0, 9, 9.0)
-	oracle := oracleFrom(rec, 10.0, 0)
+	oracle := oracleFrom(rec, 10.0)
 	oracle.Attach(Env{Cache: c, GateBlock: func(s, w int) { c.Gate(s, w) }})
 
 	// Replay: fill the block, then cross event 5.
@@ -105,18 +99,16 @@ func TestIdealReplayGates(t *testing.T) {
 	}
 }
 
-func TestIdealSkipsDirtyShortTails(t *testing.T) {
+// TestIdealGatesDirtyBlocks: a dirty dead block is gated like a clean one
+// (its writeback is the one its eviction would pay, moved earlier).
+func TestIdealGatesDirtyBlocks(t *testing.T) {
 	c := testCache(t)
-	rec := newRecorder(c.Sets(), c.Ways())
-	rec.BlockFilled(0, 0, 0x0, 5, 1.0)
-	rec.BlockEvicted(0, 0, 9, 1.001)     // 1 ms tail
-	oracle := oracleFrom(rec, 10.0, 0.5) // dirty blocks need a 0.5 s tail
+	oracle := NewIdeal([]metrics.LastUse{{Event: 5, Addr: 0x0}})
 	oracle.Attach(Env{Cache: c, GateBlock: func(s, w int) { c.Gate(s, w) }})
-
 	c.Access(0x0, true) // dirty
 	oracle.GateThrough(5)
-	if !c.Block(0, 0).Live() {
-		t.Fatal("dirty block with a short tail must stay powered")
+	if c.Block(0, 0).Live() {
+		t.Fatal("dirty dead block left powered")
 	}
 }
 
@@ -125,7 +117,7 @@ func TestIdealToleratesDivergence(t *testing.T) {
 	rec := newRecorder(c.Sets(), c.Ways())
 	rec.BlockFilled(0, 0, 0x0, 5, 1.0)
 	rec.BlockEvicted(0, 0, 9, 9.0)
-	oracle := oracleFrom(rec, 10.0, 0)
+	oracle := oracleFrom(rec, 10.0)
 	gates := 0
 	oracle.Attach(Env{Cache: c, GateBlock: func(s, w int) { gates++; c.Gate(s, w) }})
 	// The scheduled block is not resident in this pass: must be a no-op
@@ -143,10 +135,10 @@ func TestIdealSameEventRecordingOrder(t *testing.T) {
 	// 0x30 (set 3) closes before 0x10 (set 1); both last used at event 5.
 	// 0x20 (set 2) was last used earlier but closed last.
 	oracle := NewIdeal([]metrics.LastUse{
-		{Event: 5, Addr: 0x30, Tail: 1},
-		{Event: 5, Addr: 0x10, Tail: 1},
-		{Event: 2, Addr: 0x20, Tail: 1},
-	}, 0)
+		{Event: 5, Addr: 0x30},
+		{Event: 5, Addr: 0x10},
+		{Event: 2, Addr: 0x20},
+	})
 	var order []int
 	oracle.Attach(Env{Cache: c, GateBlock: func(s, w int) { order = append(order, s); c.Gate(s, w) }})
 	for _, a := range []uint64{0x10, 0x20, 0x30} {
@@ -166,7 +158,7 @@ func TestIdealSameEventRecordingOrder(t *testing.T) {
 // gates nothing and leaves the cursor on the next scheduled event.
 func TestIdealCursorSkipsEmptyEvents(t *testing.T) {
 	c := testCache(t)
-	oracle := NewIdeal([]metrics.LastUse{{Event: 5, Addr: 0x10}, {Event: 9, Addr: 0x20}}, 0)
+	oracle := NewIdeal([]metrics.LastUse{{Event: 5, Addr: 0x10}, {Event: 9, Addr: 0x20}})
 	gates := 0
 	oracle.Attach(Env{Cache: c, GateBlock: func(s, w int) { gates++; c.Gate(s, w) }})
 	c.Access(0x10, false)
@@ -187,34 +179,5 @@ func TestIdealCursorSkipsEmptyEvents(t *testing.T) {
 	var none *Ideal
 	if next := none.Next(); next != math.MaxUint64 {
 		t.Fatalf("nil oracle's Next = %d, want MaxUint64", next)
-	}
-}
-
-// TestIdealDirtyTailThreshold: only a dirty block whose tail is below a
-// positive threshold stays powered; at the simulator's threshold 0 every
-// dirty dead block is gated.
-func TestIdealDirtyTailThreshold(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		dirty     bool
-		tail      float64
-		threshold float64
-		gated     bool
-	}{
-		{"dirty short tail, threshold above 0", true, 0.001, 0.5, false},
-		{"dirty short tail, threshold 0", true, 0.001, 0, true},
-		{"dirty long tail, threshold above 0", true, 1.0, 0.5, true},
-		{"clean short tail, threshold above 0", false, 0.001, 0.5, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := testCache(t)
-			oracle := NewIdeal([]metrics.LastUse{{Event: 5, Addr: 0x0, Tail: tc.tail}}, tc.threshold)
-			oracle.Attach(Env{Cache: c, GateBlock: func(s, w int) { c.Gate(s, w) }})
-			c.Access(0x0, tc.dirty)
-			oracle.GateThrough(5)
-			if gated := !c.Block(0, 0).Live(); gated != tc.gated {
-				t.Fatalf("gated = %v, want %v", gated, tc.gated)
-			}
-		})
 	}
 }

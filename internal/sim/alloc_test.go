@@ -10,62 +10,12 @@ import (
 	"edbp/internal/workload"
 )
 
-// TestSteadyStateZeroAllocs asserts the event loop's tentpole property:
-// after warm-up, one memory event (execMem + flush) allocates nothing, on
-// both the baseline and the EDBP scheme.
-func TestSteadyStateZeroAllocs(t *testing.T) {
-	for _, scheme := range []Scheme{Baseline, EDBP} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			e := steadyEngineT(t, scheme)
-			// Warm up: fault in the working set, grow any lazy predictor
-			// state, and let the first outage (if any) size its scratch.
-			i := 0
-			next := func() {
-				e.execMem(uint64(i%2048)*4, i&3 == 0)
-				i++
-			}
-			for k := 0; k < 4096; k++ {
-				next()
-			}
-			if avg := testing.AllocsPerRun(2000, next); avg != 0 {
-				t.Errorf("steady-state execMem allocates %.2f times per event, want 0", avg)
-			}
-		})
-	}
-}
-
-// TestSteadyStateZeroAllocsTraced asserts the same property with a trace
-// recorder attached: the rings are preallocated, so steady-state recording
-// (clock updates plus periodic gauge samples) allocates nothing either.
-func TestSteadyStateZeroAllocsTraced(t *testing.T) {
-	for _, scheme := range []Scheme{Baseline, EDBP} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			rec := trace.NewRecorder(trace.Options{})
-			e := steadyEngineRec(t, scheme, rec)
-			i := 0
-			next := func() {
-				e.execMem(uint64(i%2048)*4, i&3 == 0)
-				i++
-			}
-			for k := 0; k < 4096; k++ {
-				next()
-			}
-			if avg := testing.AllocsPerRun(2000, next); avg != 0 {
-				t.Errorf("traced steady-state execMem allocates %.2f times per event, want 0", avg)
-			}
-			if rec.Summary().Samples == 0 {
-				t.Error("recorder took no samples — the traced path was not exercised")
-			}
-		})
-	}
-}
-
-// TestBatchedSteadyStateZeroAllocs extends the zero-alloc contract to the
-// batched columnar replay loop: a steady-state batch window — hot-state
-// hoist, inlined cache probes, flush arithmetic, settle — allocates
-// nothing, with and without a trace recorder attached. The windows advance
-// through the real recorded trace, so region transitions and tick chunks
-// are exercised, not just memory events. The Ideal rows measure the
+// TestBatchedSteadyStateZeroAllocs asserts the replay loop's zero-alloc
+// contract: a steady-state window — hot-state hoist, inlined cache probes,
+// flush arithmetic, settle — allocates nothing, with and without a trace
+// recorder attached (the recorder's rings are preallocated). The windows
+// advance through the real recorded trace, so region transitions and tick
+// chunks are exercised, not just memory events. The Ideal rows measure the
 // oracle's replay pass, whose windows also run its scheduled gates.
 func TestBatchedSteadyStateZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
@@ -95,8 +45,8 @@ func TestBatchedSteadyStateZeroAllocs(t *testing.T) {
 				}
 				lo += window
 			}
-			// Warm up: fault in the working set and grow lazy predictor
-			// state, exactly like the per-event variant above.
+			// Warm up: fault in the working set, grow lazy predictor state,
+			// and let the first outage (if any) size its scratch.
 			for lo < 4096 {
 				next()
 			}
@@ -116,14 +66,9 @@ func TestBatchedSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// steadyEngineT is steadyEngine for plain tests.
-func steadyEngineT(t *testing.T, scheme Scheme) *engine {
-	t.Helper()
-	return steadyEngineRec(t, scheme, nil)
-}
-
-// steadyEngineRec is steadyEngineT with an optional trace recorder.
-func steadyEngineRec(t *testing.T, scheme Scheme, rec *trace.Recorder) *engine {
+// steadyEngineRec builds an engine fed by an effectively infinite supply
+// (no outages, no hibernation), with an optional trace recorder.
+func steadyEngineRec(t testing.TB, scheme Scheme, rec *trace.Recorder) *engine {
 	t.Helper()
 	trace, err := workload.Cached("crc32", 0.25)
 	if err != nil {
@@ -141,7 +86,7 @@ func steadyEngineRec(t *testing.T, scheme Scheme, rec *trace.Recorder) *engine {
 	var oracle predictor.Predictor
 	if scheme == Ideal {
 		// The oracle's replay pass, fed by a full recording pass.
-		if oracle, err = recordIdeal(context.Background(), cfg, trace, false); err != nil {
+		if oracle, err = recordIdeal(context.Background(), cfg, trace); err != nil {
 			t.Fatal(err)
 		}
 	}

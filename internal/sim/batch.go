@@ -9,49 +9,48 @@ import (
 	"edbp/internal/workload"
 )
 
-// This file is the batched replay loop: the engine's default main loop
-// since the batched-columnar-replay change (DESIGN.md §Performance,
-// "Batched replay"). The idea is ETAP-style worst-case energy bounding
-// (see DESIGN.md §7.1): the capacitor only *matters* when it crosses the
-// checkpoint threshold, so if the worst-case drain of the next K flushes
-// provably fits the current energy headroom, those K flushes can run
-// without a threshold check. Everything else the per-event stepper does —
-// the capacitor integration itself, the leakage accounting, predictor
-// hooks, recorder clocking — still happens every flush, but on state
-// hoisted out of the engine into stack locals, with the exact arithmetic
-// (same operations, same order, same guards) the reference path performs.
-// That is what makes the result bit-identical rather than approximately
-// equal: the batched loop is an instruction-for-instruction replay of
-// flush()/execMem()/execTicks() over a register file, not a reformulation.
+// This file is the engine's replay loop (DESIGN.md §7.1). It replays the
+// columnar trace one flush at a time: a tick chunk of up to tickChunk
+// compute instructions, one load or store, or one region transition each
+// advance the clock and integrate leakage, MCU power, the harvest and the
+// capacitor, with the engine's hot state hoisted into a stack-local
+// register file (hot) between batch edges. The golden Result corpus
+// (corpus_golden_test.go) pins its arithmetic operation for operation,
+// including the association of each float sum, so any reordering that
+// "only" rounds differently is a result change.
 //
-// Batch edges — the points where the hoisted state is settled back into
-// the engine (hotSettle) and reloaded (hotLoad) — are:
+// The idea that makes it fast is ETAP-style worst-case energy bounding
+// (Erata et al.; DESIGN.md §7.1): the capacitor only *matters* when it
+// crosses the checkpoint threshold, so the threshold compare is skipped
+// while the energy above it provably covers every flush since the last
+// compare. At every batch edge the loop banks half the live headroom
+// stored − eCkpt (slackMargin), then charges each flush's actual load —
+// plus a worst-case self-discharge rate, the one drain the load sum does
+// not cover — against that bank. Harvest only ever adds energy, so while
+// the bank stays non-negative, stored ≥ eCkpt is proven and the compare is
+// skipped; any flush that could cross the threshold necessarily drives the
+// bank negative first and gets the real compare, on exactly the flush
+// where stored first falls below eCkpt. Config.BatchCap (hot.left) bounds
+// the number of skipped compares regardless of slack; drainTable below
+// supplies the self-discharge rate and a worst-case per-flush unit for
+// tests.
+//
+// Batch edges — where the hoisted state is settled back into the engine
+// (hotSettle), and after an outage reloaded from it (hotLoad) — are:
 //
 //   - checkpoint-threshold crossings (the outage path: powerFailure needs
 //     the whole engine current);
-//   - OpEnter/OpLeave region transitions (routed through the reference
-//     execBranch);
 //   - recorder gauge samples (trace.Recorder.SampleDue);
-//   - predictor callbacks that can mutate engine state (gating sweeps);
-//   - cancellation polls every cancelPollMask+1 events, exactly like the
-//     reference loop, so partial results match too;
-//   - the end of the run.
+//   - the end of the window batchEvents was asked to replay, the end of
+//     the run, a MaxSimTime truncation and a canceled context (polled
+//     every cancelPollMask+1 events).
 //
-// The threshold check itself is amortized by slack accounting (hot.slack):
-// at every batch edge the loop banks half the live headroom stored − eCkpt
-// (slackMargin), then charges each flush's actual load — plus a worst-case
-// self-discharge rate, the one drain the load sum does not cover — against
-// that bank. Harvest only ever adds energy, so while the bank stays
-// non-negative, stored ≥ eCkpt is proven and the voltage compare is
-// skipped; any flush that could cross the threshold necessarily drives the
-// bank negative first and gets the real compare, on exactly the flush the
-// stepper would take it. Config.BatchCap (hot.left) bounds the number of
-// skipped checks regardless of slack, which keeps the cancellation-poll
-// cadence intact; drainTable below supplies the worst-case per-flush unit
-// that seeds tests and the self-discharge rate.
+// Predictor callbacks between edges see the engine fields they read
+// (eventIdx, now, the fetcher's PC) synced from the hot state first.
 
-// tickChunk is the number of compute instructions one tick flush covers;
-// must match execTicks' chunking (engine.go).
+// tickChunk is the number of compute instructions one tick flush covers,
+// small enough for the threshold check to keep pace with the capacitor.
+// Part of the pinned arithmetic: it sets every tick flush's dt.
 const tickChunk = 32
 
 // drainTable bounds the stored-energy decrease of a single flush under
@@ -147,7 +146,7 @@ type hot struct {
 	// so ignoring it keeps the bound sound). While slack ≥ 0, capE ≥ eCkpt
 	// and the threshold compare is skipped; the first flush that could
 	// cross the threshold drives slack negative and gets the real compare,
-	// so outages fire on the identical flush as the reference stepper.
+	// so an outage fires on the first flush that leaves capE < eCkpt.
 	// left counts flushes down from Config.BatchCap so the knob bounds the
 	// check interval regardless of slack.
 	slack float64
@@ -172,14 +171,13 @@ type hot struct {
 	// when the powered count changes, which it does orders of magnitude
 	// less often than flushes happen. The cached value is the identical
 	// product (same operands, same multiply), so dcLeakPB·dt is bit-equal
-	// to the reference expression.
+	// to recomputing it every flush.
 	pbLast, ipbLast    int
 	dcLeakPB, icLeakPB float64
 }
 
 // hotLoad captures the current engine state into a hot value and resets
-// the batch budget; called at run start and after every slow-path
-// excursion. It returns by value — and hotSettle takes its argument by
+// the batch budget; called when batchEvents starts and after an outage. It returns by value — and hotSettle takes its argument by
 // value — so batchEvents never takes the address of its hot state (the
 // escape would pin every spill slot; the struct itself is too large for
 // SSA decomposition either way, but the value discipline keeps the
@@ -219,8 +217,8 @@ func (e *engine) hotLoad() hot {
 	return h
 }
 
-// hotSettle writes h back into the engine; the engine is then exactly in
-// the state the reference stepper would be in at this point.
+// hotSettle writes h back into the engine, making every engine field
+// current for a slow-path excursion (outage, gauge sample) or the return.
 func (e *engine) hotSettle(h hot) {
 	e.cap.SetState(energy.CapState{
 		Stored: h.capE, Harvested: h.harv, Wasted: h.waste, Leaked: h.leak, Drained: h.drain,
@@ -266,7 +264,7 @@ func powerWindowEnd(i int64, dt float64) float64 {
 // trace sources the sample is constant within each Resolution window; for
 // constant sources it never changes; for arbitrary sources (and times
 // beyond the trace's integer-index horizon) the cache degenerates to one
-// lookup per flush — exactly the reference behavior.
+// lookup per flush.
 func (e *engine) refreshPower(now float64) (p, pUntil float64) {
 	switch e.srcMode {
 	case srcConst:
@@ -282,9 +280,8 @@ func (e *engine) refreshPower(now float64) (p, pUntil float64) {
 	}
 }
 
-// runBatched replays the whole trace through the batched loop and
-// finalizes the result.
-func (e *engine) runBatched() (*Result, error) {
+// run replays the whole trace and finalizes the result.
+func (e *engine) run() (*Result, error) {
 	cols := e.trace.Columns()
 	if err := e.batchEvents(cols, 0, len(cols.Ops)); err != nil {
 		return nil, err
@@ -298,8 +295,8 @@ func (e *engine) runBatched() (*Result, error) {
 func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 	ops, args := cols.Ops, cols.Args
 
-	// Engine invariants hoisted to locals (mirrors the reference loop's
-	// flattened cost model, minus the pointer chases).
+	// Engine invariants hoisted to locals (the flattened cost model,
+	// minus the pointer chases).
 	var (
 		cycleTime                        = e.cycleTime
 		bm                               = e.fetch.BlockBytes() - 1
@@ -356,7 +353,7 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 				break
 			}
 			// The poll at i == 0 makes an already-canceled context return
-			// before any simulation work (same cadence as the stepper).
+			// before any simulation work.
 			if done != nil && i&cancelPollMask == 0 && e.pollCancel() {
 				break
 			}
@@ -373,19 +370,7 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 					i++
 					continue
 				}
-			case workload.OpEnter, workload.OpLeave:
-				// Region transitions invalidate the cached fetch bounds;
-				// route them through the reference machinery.
-				e.eventIdx = uint64(i)
-				e.hotSettle(h)
-				e.execBranch(op == workload.OpEnter, int(arg))
-				if uint64(i) >= nextGate {
-					nextGate = e.idealGate(uint64(i), e.now)
-				}
-				h = e.hotLoad()
-				i++
-				continue
-			case workload.OpLoad, workload.OpStore:
+			case workload.OpEnter, workload.OpLeave, workload.OpLoad, workload.OpStore:
 				// Handled below.
 			default:
 				e.hotSettle(h)
@@ -394,12 +379,32 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 		}
 
 		// ------------------------------------------------ one flush unit --
-		// Either one tick chunk (≤ tickChunk instructions) or one memory
-		// event; dt and the three dynamic-energy inputs feed the inlined
-		// flush below. The arithmetic replicates execTicks/execMem/ifetch
-		// over the hot locals, operation for operation.
+		// One tick chunk (≤ tickChunk instructions), one memory event or
+		// one region transition; dt and the three dynamic-energy inputs
+		// feed the inlined flush below.
 		var dt, dcDyn, icDyn, memDyn float64
-		if op == workload.OpTick {
+		switch op {
+		case workload.OpEnter, workload.OpLeave:
+			// One branch instruction plus the PC redirect. The fetcher owns
+			// the region stack, so it runs the transition on the synced
+			// PC, fetching through ifetch into the engine's scratch sums,
+			// and the new region's bounds are reloaded.
+			e.eventIdx = uint64(i)
+			e.now = h.now
+			e.fetch.SetHot(h.pc, h.block)
+			e.fLat, e.fDyn, e.fMemE = 0, 0, 0
+			if op == workload.OpEnter {
+				e.fetch.Enter(int(arg), e.ifetchFn)
+			} else {
+				e.fetch.Leave(e.ifetchFn)
+			}
+			h.pc, h.block = e.fetch.Hot()
+			h.rBase, h.rEnd = e.fetch.Bounds()
+			h.instrs++
+			dt = cycleTime + e.fLat
+			icDyn = e.fDyn
+			memDyn = e.fMemE
+		case workload.OpTick:
 			k := tickLeft
 			if k > tickChunk {
 				k = tickChunk
@@ -493,7 +498,7 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 			dt = float64(k)*cycleTime + fLat
 			icDyn = fDyn
 			memDyn = fMemE
-		} else {
+		default: // OpLoad, OpStore
 			var fLat, fDyn, fMemE float64
 			blk := h.pc &^ bm
 			if blk != h.block {
@@ -603,6 +608,10 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 							} else {
 								e.tracker.BlockHit(set, w, uint64(i), h.now)
 							}
+							// (cycleTime + fLat) + dcLat, where the miss path
+							// below sums cycleTime + (fLat + dcLat + …): the
+							// two associations round differently, and the
+							// corpus pins both.
 							dt = cycleTime + fLat + dcLat
 							icDyn = fDyn
 							memDyn = fMemE
@@ -639,14 +648,13 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 			}
 		}
 
-		// ------------------------------------------------- inlined flush --
-		// Queued gating writebacks drain two per flush, as in flush().
+		// --------------------------------------------------------- flush --
+		// Queued gating writebacks drain two per flush.
 		for k := 0; k < 2 && e.pendingWB > 0; k++ {
 			e.pendingWB--
 			memDyn += memWriteE
 		}
-		// dt >= cycleTime > 0 here, so flush()'s dt<=0 early-out never
-		// fires on this path.
+		// dt >= cycleTime > 0 on every flush.
 		if pb := dc.PoweredBlocks(); pb != h.pbLast {
 			h.pbLast = pb
 			h.dcLeakPB = dcLeakPerBlock * float64(pb)
@@ -756,9 +764,9 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 		}
 
 		// Checkpoint threshold, amortized by actual-drain accounting: while
-		// h.slack ≥ 0, h.capE ≥ eCkpt is proven (see hot.h.slack) and the compare
-		// is skipped. Any flush where h.capE < eCkpt necessarily drove h.slack
-		// negative, so outages fire on the identical flush as the stepper.
+		// h.slack ≥ 0, h.capE ≥ eCkpt is proven (see hot.slack) and the
+		// compare is skipped. Any flush where h.capE < eCkpt necessarily
+		// drove h.slack negative, so the outage fires on that flush.
 		h.slack -= load + selfRate*dt
 		h.left--
 		outage := false
@@ -769,7 +777,7 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 				e.mon.Observe(e.cap.Voltage()) // records the On -> Off edge
 				e.powerFailure()
 				h = e.hotLoad()
-				outage = true // flush() returns right after powerFailure
+				outage = true // the flush ends at the restore
 			} else {
 				h.slack = (h.capE - eCkpt) * slackMargin
 				h.left = batchCap
@@ -819,8 +827,8 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 			if !e.truncated && e.cancelErr == nil {
 				continue // next chunk of the same tick event
 			}
-			// execTicks abandons remaining chunks on truncation or
-			// cancellation, but the event's Ideal gates still fire.
+			// A truncated or canceled tick event abandons its remaining
+			// chunks, but the event's Ideal gates still fire.
 			tickLeft = 0
 		}
 		if uint64(i) >= nextGate {

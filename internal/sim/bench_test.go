@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"edbp/internal/energy"
 	tracepkg "edbp/internal/trace"
 	"edbp/internal/workload"
 )
@@ -18,76 +17,63 @@ func benchTrace(b *testing.B) *workload.Trace {
 	return tr.Record(0.25)
 }
 
-// steadyEngine builds an engine fed by an effectively infinite supply, so
-// the benchmark exercises the pure event loop: no outages, no hibernation.
-func steadyEngine(b *testing.B, scheme Scheme) *engine {
-	b.Helper()
-	trace := benchTrace(b)
-	cfg := Default("crc32", scheme)
-	cfg.Trace = trace
-	cfg.Source = energy.ConstantSource{P: 1.0}
-	cfg.MaxSimTime = 1e18
-	cfg, err := cfg.normalize()
-	if err != nil {
-		b.Fatal(err)
+// benchWindow is the number of trace events one steady-state benchmark
+// op replays.
+const benchWindow = 64
+
+// benchWindows times steady-state batchEvents windows over the columnar
+// crc32@0.25 trace, the way TestBatchedSteadyStateZeroAllocs drives the
+// loop: an effectively infinite supply (no outages, no hibernation), a
+// warm-up outside the timer, and a fresh engine, also off the timer,
+// whenever the trace runs out. One op is one benchWindow-event window.
+func benchWindows(b *testing.B, scheme Scheme, traced bool) {
+	const warm = 4096
+	var e *engine
+	var cols *workload.Columns
+	lo := 0
+	fresh := func() {
+		var rec *tracepkg.Recorder
+		if traced {
+			rec = tracepkg.NewRecorder(tracepkg.Options{})
+		}
+		e = steadyEngineRec(b, scheme, rec)
+		cols = e.trace.Columns()
+		if err := e.batchEvents(cols, 0, warm); err != nil {
+			b.Fatal(err)
+		}
+		lo = warm
 	}
-	e, err := newEngine(cfg, trace, nil)
-	if err != nil {
-		b.Fatal(err)
+	fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if lo+benchWindow > len(cols.Ops) {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		if err := e.batchEvents(cols, lo, lo+benchWindow); err != nil {
+			b.Fatal(err)
+		}
+		lo += benchWindow
 	}
-	return e
+	b.ReportMetric(float64(b.N)*benchWindow/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkEngineSteadyState measures the per-event cost of the hot path
-// (execMem + flush) with no power failures. One op is one memory event.
+// BenchmarkEngineSteadyState measures the replay loop's per-window cost
+// with no power failures.
 func BenchmarkEngineSteadyState(b *testing.B) {
 	for _, scheme := range []Scheme{Baseline, EDBP} {
-		b.Run(scheme.String(), func(b *testing.B) {
-			e := steadyEngine(b, scheme)
-			// Warm up: fault in the working set and any lazy predictor state.
-			for i := 0; i < 4096; i++ {
-				e.execMem(uint64(i%2048)*4, i&3 == 0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.execMem(uint64(i%2048)*4, i&3 == 0)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
+		b.Run(scheme.String(), func(b *testing.B) { benchWindows(b, scheme, false) })
 	}
 }
 
 // BenchmarkEngineSteadyStateTraced is the steady-state benchmark with a
-// trace recorder attached — the enabled-tracer overhead measurement
-// (cmd/bench snapshots the disabled/enabled pair into BENCH_engine.json).
+// trace recorder attached: its delta over BenchmarkEngineSteadyState is
+// the enabled-tracer overhead.
 func BenchmarkEngineSteadyStateTraced(b *testing.B) {
 	for _, scheme := range []Scheme{Baseline, EDBP} {
-		b.Run(scheme.String(), func(b *testing.B) {
-			trace := benchTrace(b)
-			cfg := Default("crc32", scheme)
-			cfg.Trace = trace
-			cfg.Source = energy.ConstantSource{P: 1.0}
-			cfg.MaxSimTime = 1e18
-			cfg.Recorder = tracepkg.NewRecorder(tracepkg.Options{})
-			cfg, err := cfg.normalize()
-			if err != nil {
-				b.Fatal(err)
-			}
-			e, err := newEngine(cfg, trace, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 4096; i++ {
-				e.execMem(uint64(i%2048)*4, i&3 == 0)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.execMem(uint64(i%2048)*4, i&3 == 0)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
+		b.Run(scheme.String(), func(b *testing.B) { benchWindows(b, scheme, true) })
 	}
 }
 

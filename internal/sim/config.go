@@ -194,12 +194,12 @@ type Config struct {
 	// workload (simulated seconds; default 600).
 	MaxSimTime float64
 
-	// BatchCap caps how many flushes the batched replay loop may run
-	// between checkpoint-threshold checks (see batch.go); the effective
-	// batch size is min(BatchCap, floor(headroom/worst-case drain)).
-	// 0 means DefaultBatchCap (4096); 1 degenerates to a check per flush.
-	// The cap does not affect results — batching is bit-identical to the
-	// per-event stepper at every cap — only the check amortization, which
+	// BatchCap caps how many flushes the replay loop may run between
+	// checkpoint-threshold checks (see batch.go); the loop also checks
+	// whenever the energy banked at the last check may be spent. 0 means
+	// DefaultBatchCap (4096); 1 degenerates to a check per flush. The cap
+	// does not affect results — a skipped check is one the energy bound
+	// proves would have passed — only the check amortization, which
 	// cmd/bench -batch-cap sweeps document.
 	BatchCap int
 }

@@ -28,7 +28,6 @@ type engine struct {
 
 	cap *energy.Capacitor
 	mon *energy.Monitor
-	src energy.Source
 
 	dc, ic  *cache.Cache
 	dcModel *sram.Model
@@ -46,9 +45,9 @@ type engine struct {
 	icPred predictor.Predictor // optional I-cache predictor stack
 	filter checkpoint.Filter
 	edbp   *core.EDBP
-	// ideal is the Ideal oracle on its replay pass, nil otherwise. Both
-	// replay loops compare each event index against its cursor (Next) and
-	// call GateThrough when an event reaches it.
+	// ideal is the Ideal oracle on its replay pass, nil otherwise. The
+	// replay loop compares each event index against its cursor (Next) and
+	// calls GateThrough when an event reaches it.
 	ideal *predictor.Ideal
 
 	tracker   *metrics.Tracker
@@ -95,27 +94,14 @@ type engine struct {
 	keptIdx []bool
 	keptBuf [][2]int
 
-	// refHibernate switches hibernate() to the original per-step
-	// stepper; kept as the golden reference for the fast path's tests.
-	refHibernate bool
-
-	// refStepper switches run() to the per-event reference stepper
-	// (runStepper); the default is the batched replay loop (runBatched,
-	// batch.go). Mirrors refHibernate: the stepper is the golden
-	// reference the batched path's tests replay against. Not a Config
-	// field on purpose — Config is embedded in Result, and the two paths
-	// must produce DeepEqual Results.
-	refStepper bool
-
-	// Batched-replay capability probes, derived once in newEngine (see
+	// Replay-loop capability probes, derived once in newEngine (see
 	// batch.go). tickFreePred: every part of the data-cache stack marked
 	// predictor.TickFree, so per-flush Tick calls can be skipped.
 	// ovLadder: the single voltage-ladder part (EDBP) when every other
 	// part is VoltageFree — per-flush OnVoltage reduces to energy-domain
 	// ladder compares. ovFree: every part VoltageFree (no OnVoltage work
 	// at all). When neither ovLadder nor ovFree holds (or an I-cache
-	// predictor stack exists), the batched loop falls back to per-flush
-	// reference calls.
+	// predictor stack exists), the loop calls OnVoltage every flush.
 	tickFreePred bool
 	ovFree       bool
 	ovLadder     predictor.VoltageLadder
@@ -128,7 +114,7 @@ type engine struct {
 	wc       drainTable
 	batchCap int
 
-	// Harvest-window acceleration for the batched loop: power sources are
+	// Harvest-window acceleration for the replay loop: power sources are
 	// piecewise constant (traces) or constant, so the loop caches one
 	// sample per window instead of calling e.power per flush.
 	srcMode   int // one of srcGeneric/srcConst/srcTrace
@@ -145,9 +131,8 @@ type engine struct {
 	cancelErr error
 
 	// initialStored is the capacitor energy at construction, recorded for
-	// Result.Cap (tests that SetState after newEngine keep both replay
-	// loops consistent because both record the same construction-time
-	// value).
+	// Result.Cap (a test that SetStates after newEngine still reports the
+	// construction-time value).
 	initialStored float64
 
 	now        float64
@@ -158,20 +143,21 @@ type engine struct {
 	// pendingWB counts dirty writebacks queued by predictor gating. A
 	// gating sweep can turn off dozens of dirty blocks at once; hardware
 	// drains those through a writeback buffer over time, so the simulator
-	// spreads their memory-write energy across subsequent flushes instead
-	// of dumping one large instantaneous drain on the capacitor (which
-	// would trigger artificial voltage-shock outages). Any writebacks
-	// still pending at a power failure complete as part of the checkpoint
-	// (the JIT energy reserve covers them).
+	// spreads their memory-write energy across subsequent flushes (two per
+	// flush) instead of dumping one large instantaneous drain on the
+	// capacitor (which would trigger artificial voltage-shock outages).
+	// Any writebacks still pending at a power failure complete as part of
+	// the checkpoint (the JIT energy reserve covers them).
 	pendingWB int
 
-	// Scratch accumulators for the current micro-op's instruction fetches.
+	// Scratch accumulators for a region transition's instruction fetches
+	// (ifetch adds into them; batch.go reads them into the branch flush).
 	fLat  float64
 	fDyn  float64
 	fMemE float64
 
 	// Per-cache access-result scratch (see cache.AccessTo); dcRes is dead
-	// once execMem returns, icRes once ifetch returns.
+	// once the memory event's flush starts, icRes once ifetch returns.
 	dcRes cache.AccessResult
 	icRes cache.AccessResult
 
@@ -229,25 +215,22 @@ func newEngine(cfg Config, trace *workload.Trace, predOverride predictor.Predict
 	e.res.Config = cfg
 	e.initialStored = capac.Stored()
 
-	if cfg.Source != nil {
-		e.src = cfg.Source
-	} else {
-		e.src = energy.CachedTrace(cfg.TraceKind, cfg.SourceSeed)
+	src := cfg.Source
+	if src == nil {
+		src = energy.CachedTrace(cfg.TraceKind, cfg.SourceSeed)
 	}
 	// Devirtualize the per-event power lookup; trace sources additionally
 	// get an incremental cursor (the engine queries monotone times).
-	switch src := e.src.(type) {
+	e.power = src.Power
+	e.srcMode = srcGeneric
+	switch src := src.(type) {
 	case *energy.Trace:
 		e.power = src.Cursor().Power
 		e.srcMode = srcTrace
 		e.srcDt = src.Resolution()
 	case energy.ConstantSource:
-		e.power = e.src.Power
 		e.srcMode = srcConst
 		e.srcConstP = src.P
-	default:
-		e.power = e.src.Power
-		e.srcMode = srcGeneric
 	}
 	e.sampler = cfg.VoltageSampler
 	e.eCkpt = capac.EnergyThreshold(cfg.Monitor.VCkpt)
@@ -420,7 +403,7 @@ func predTickFree(p predictor.Predictor) bool {
 // collectVoltageClass reports whether every part of the stack is either
 // VoltageFree or a VoltageLadder (appended to ladders), recursing through
 // Combine. A false return means some part has a general OnVoltage and the
-// batched loop must call it every flush.
+// replay loop must call it every flush.
 func collectVoltageClass(p predictor.Predictor, ladders *[]predictor.VoltageLadder) bool {
 	if c, ok := p.(*predictor.Combine); ok {
 		ok := true
@@ -596,90 +579,10 @@ func (e *engine) gateICache(set, way int) {
 
 // -------------------------------------------------------------- energy --
 
-// flush advances simulated time by dt with the given dynamic energies,
-// integrating leakage, MCU power and the harvest, then services the
-// voltage monitor and the predictors.
-func (e *engine) flush(dt, dcDyn, icDyn, memDyn float64) {
-	// Drain queued gating writebacks gradually (up to two per flush — the
-	// writeback buffer empties in the background while execution runs).
-	for k := 0; k < 2 && e.pendingWB > 0; k++ {
-		e.pendingWB--
-		memDyn += e.memWriteE
-	}
-	if dt <= 0 {
-		return
-	}
-
-	dcLeak := e.dcLeakPower() * dt
-	icLeak := e.icLeakPower() * dt
-	memLeak := e.memLeakPow * dt
-	mcu := e.mcuPower * dt
-
-	e.res.Energy.DCacheDynamic += dcDyn
-	e.res.Energy.DCacheLeak += dcLeak
-	e.res.Energy.ICacheDynamic += icDyn
-	e.res.Energy.ICacheLeak += icLeak
-	e.res.Energy.Memory += memDyn + memLeak
-	e.res.Energy.MCU += mcu
-
-	load := dcDyn + icDyn + memDyn + dcLeak + icLeak + memLeak + mcu
-	e.cap.StepEnergy(dt, e.power(e.now), load)
-	e.now += dt
-	e.res.ActiveTime += dt
-
-	if !e.predIdle || e.icPred != nil {
-		cycles := uint64(dt/e.cycleTime + 0.5)
-		if !e.predIdle {
-			e.pred.Tick(cycles)
-		}
-		if e.icPred != nil {
-			e.icPred.Tick(cycles)
-		}
-	}
-
-	if e.profile != nil && e.now >= e.nextZombieSample {
-		e.profile.Sample(e.now, e.cap.Voltage(), e.dc.LiveBlocks())
-		e.nextZombieSample = e.now + zombieSampleEvery
-	}
-
-	if e.sampler != nil {
-		e.sampler(e.now, e.cap.Voltage(), true)
-	}
-	if e.rec != nil {
-		e.traceTick()
-	}
-	// Energy-domain equivalent of mon.Observe(Voltage()) returning a
-	// checkpoint edge: Stored() < eCkpt iff Voltage() < VCkpt (see
-	// energy.Capacitor.EnergyThreshold). During execution the monitor is
-	// always in the On state, so observing above the threshold is a no-op
-	// and the sqrt is skipped entirely on the common path.
-	if e.cap.Stored() < e.eCkpt {
-		e.mon.Observe(e.cap.Voltage()) // records the On -> Off edge
-		e.powerFailure()
-		return
-	}
-	if !e.predIdle {
-		v := e.cap.Voltage()
-		e.pred.OnVoltage(v)
-		if e.icPred != nil {
-			e.icPred.OnVoltage(v)
-		}
-	} else if e.icPred != nil {
-		e.icPred.OnVoltage(e.cap.Voltage())
-	}
-	if e.now > e.cfg.MaxSimTime {
-		e.truncated = true
-	}
-}
-
-// traceTick keeps the recorder's clock current and takes a gauge sample
-// when the cadence has elapsed. Only called with e.rec != nil; the
-// O(blocks) gauge scan runs at the sample cadence, not per flush.
+// traceTick takes a gauge sample. Only called with e.rec != nil once
+// Recorder.SampleDue reports the cadence has elapsed, so the O(blocks)
+// gauge scan runs at the sample cadence, not per flush.
 func (e *engine) traceTick() {
-	e.rec.SetNow(e.now)
-	if !e.rec.SampleDue(e.now) {
-		return
-	}
 	live, gated, dirty := e.dc.StateCounts()
 	s := trace.Sample{
 		Time:    e.now,
@@ -753,8 +656,9 @@ func notifyTracker(t *metrics.Tracker, res *cache.AccessResult, blockAddr, event
 	}
 }
 
-// ifetch services one instruction cache block fetch, accumulating into the
-// scratch fields consumed by the caller's flush.
+// ifetch services one instruction cache block fetch of a region
+// transition, accumulating into the scratch fields batch.go reads into the
+// branch's flush.
 func (e *engine) ifetch(blockAddr uint32) {
 	res := &e.icRes
 	e.ic.AccessTo(uint64(blockAddr), false, res)
@@ -772,66 +676,6 @@ func (e *engine) ifetch(blockAddr uint32) {
 	if e.icPred != nil {
 		e.icPred.AfterAccess(*res)
 	}
-}
-
-// execTicks runs n compute instructions, in chunks small enough for the
-// voltage monitor to keep pace with the capacitor.
-func (e *engine) execTicks(n int) {
-	const chunk = 32
-	for n > 0 && !e.truncated && e.cancelErr == nil {
-		k := n
-		if k > chunk {
-			k = chunk
-		}
-		e.fLat, e.fDyn, e.fMemE = 0, 0, 0
-		e.fetch.Step(k, e.ifetchFn)
-		e.instrsDone += uint64(k)
-		e.flush(float64(k)*e.cycleTime+e.fLat, 0, e.fDyn, e.fMemE)
-		n -= k
-	}
-}
-
-// execBranch handles Enter/Leave (one branch instruction plus the PC
-// redirect).
-func (e *engine) execBranch(enter bool, region int) {
-	e.fLat, e.fDyn, e.fMemE = 0, 0, 0
-	if enter {
-		e.fetch.Enter(region, e.ifetchFn)
-	} else {
-		e.fetch.Leave(e.ifetchFn)
-	}
-	e.instrsDone++
-	e.flush(e.cycleTime+e.fLat, 0, e.fDyn, e.fMemE)
-}
-
-// execMem runs one load or store.
-func (e *engine) execMem(addr uint64, write bool) {
-	e.fLat, e.fDyn, e.fMemE = 0, 0, 0
-	e.fetch.Step(1, e.ifetchFn)
-	e.instrsDone++
-
-	res := &e.dcRes
-	e.dc.AccessTo(addr, write, res)
-	lat := e.fLat + e.dcLat
-	dcDyn := e.dcE
-	memE := e.fMemE
-	if !res.Hit {
-		// Miss: read the block from memory and write it into the array.
-		lat += e.dcMissLat
-		dcDyn += e.dcE
-		memE += e.memReadE
-		if res.Evicted && res.EvictedDirty {
-			lat += e.memWriteLat
-			memE += e.memWriteE
-		}
-	}
-
-	notifyTracker(e.tracker, res, addr&e.blockMask, e.eventIdx, e.now)
-	if !e.predIdle {
-		e.pred.AfterAccess(*res)
-	}
-
-	e.flush(e.cycleTime+lat, dcDyn, e.fDyn, memE)
 }
 
 // -------------------------------------------------------- power events --
@@ -929,13 +773,7 @@ func (e *engine) powerFailure() {
 // hibernate advances time with the system off until the restore threshold
 // is reached, then pays the restoration cost and resumes.
 func (e *engine) hibernate() {
-	var reached bool
-	if e.refHibernate {
-		reached = e.hibernateStepper()
-	} else {
-		reached = e.hibernateFast()
-	}
-	if !reached {
+	if !e.recharge() {
 		return
 	}
 	rplan := checkpoint.PlanRestore(e.restoreBlocks, e.cfg.Checkpoint)
@@ -954,16 +792,15 @@ func (e *engine) hibernate() {
 	}
 }
 
-// hibernateFast recharges the capacitor one trace sample at a time but
-// compares stored energy against the precomputed restore threshold, so the
-// common (sampler-less) loop does no square roots and no monitor calls —
-// only an add, a clamp, a memoized decay multiply, and a compare per
-// sample. It is result-identical to hibernateStepper (the seed's loop,
-// kept below as the golden reference): same step size, same accumulation
-// order, and an exactly equivalent threshold comparison (see
-// energy.Capacitor.EnergyThreshold). Returns false when the simulation
-// horizon ran out first.
-func (e *engine) hibernateFast() bool {
+// recharge steps the powered-off capacitor one trace sample at a time,
+// comparing stored energy against the precomputed restore threshold, so
+// the common (sampler-less) loop does no square roots and no monitor calls
+// — only an add, a clamp, a memoized decay multiply, and a compare per
+// sample. The energy compare is exactly the monitor's Voltage() >= VRst
+// test (see energy.Capacitor.EnergyThreshold); the monitor itself only
+// observes the Off -> On edge. Returns false when the simulation horizon
+// ran out or the context was canceled first.
+func (e *engine) recharge() bool {
 	const dt = energy.TraceResolution
 	for step := uint64(1); ; step++ {
 		e.cap.Step(dt, e.power(e.now), 0)
@@ -991,89 +828,14 @@ func (e *engine) hibernateFast() bool {
 	}
 }
 
-// hibernateStepper is the original per-sample hibernation loop, consulting
-// the voltage monitor each step. Retained as the reference implementation
-// the golden tests replay against hibernateFast.
-func (e *engine) hibernateStepper() bool {
-	for step := uint64(1); ; step++ {
-		e.cap.Step(energy.TraceResolution, e.src.Power(e.now), 0)
-		e.now += energy.TraceResolution
-		e.res.OffTime += energy.TraceResolution
-		if e.sampler != nil {
-			e.sampler(e.now, e.cap.Voltage(), false)
-		}
-		if e.rec != nil {
-			e.rec.SetNow(e.now)
-		}
-		if _, restore := e.mon.Observe(e.cap.Voltage()); restore {
-			return true
-		}
-		if e.now > e.cfg.MaxSimTime {
-			e.truncated = true
-			return false
-		}
-		if e.done != nil && step&cancelPollMask == 0 && e.pollCancel() {
-			return false
-		}
-	}
-}
-
 // ------------------------------------------------------------ main loop --
 
-// Harvest source classification for the batched loop's power-window cache.
+// Harvest source classification for the replay loop's power-window cache.
 const (
 	srcGeneric = iota // arbitrary Source: query every flush
 	srcConst          // ConstantSource: one value forever
 	srcTrace          // *energy.Trace: piecewise constant per Resolution window
 )
-
-// run replays the whole trace and finalizes the result, through the
-// batched loop by default or the per-event reference stepper when
-// refStepper is set (golden tests pin their equality).
-func (e *engine) run() (*Result, error) {
-	if e.refStepper {
-		return e.runStepper()
-	}
-	return e.runBatched()
-}
-
-// runStepper is the per-event reference loop: one flush per micro-op, the
-// capacitor and monitor consulted after every one. Retained verbatim as
-// the golden reference the batched path (batch.go) must match bit for bit.
-func (e *engine) runStepper() (*Result, error) {
-	events := e.trace.Events
-	nextGate := e.ideal.Next()
-	for i := range events {
-		if e.truncated || e.cancelErr != nil {
-			break
-		}
-		// The poll at i == 0 makes an already-canceled context return
-		// before any simulation work.
-		if e.done != nil && i&cancelPollMask == 0 && e.pollCancel() {
-			break
-		}
-		e.eventIdx = uint64(i)
-		ev := events[i]
-		switch ev.Op {
-		case workload.OpTick:
-			e.execTicks(int(ev.Arg))
-		case workload.OpEnter:
-			e.execBranch(true, int(ev.Arg))
-		case workload.OpLeave:
-			e.execBranch(false, 0)
-		case workload.OpLoad:
-			e.execMem(uint64(ev.Arg), false)
-		case workload.OpStore:
-			e.execMem(uint64(ev.Arg), true)
-		default:
-			return nil, fmt.Errorf("sim: unknown trace op %d", ev.Op)
-		}
-		if uint64(i) >= nextGate {
-			nextGate = e.idealGate(uint64(i), e.now)
-		}
-	}
-	return e.finish()
-}
 
 // idealGate runs the Ideal oracle's gates due once event i completed at
 // simulated time now, and returns the event of the next one.
@@ -1084,7 +846,7 @@ func (e *engine) idealGate(i uint64, now float64) uint64 {
 }
 
 // finish closes the run: open block generations, trace summary, result
-// fields. Shared by both replay loops.
+// fields.
 func (e *engine) finish() (*Result, error) {
 	e.tracker.FlushOpen(e.now)
 	if e.profile != nil {

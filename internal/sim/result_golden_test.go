@@ -90,7 +90,7 @@ func TestOutageSample(t *testing.T) {
 // Outages keeps counting. Exercising 4096 real outages is too slow for a
 // unit test, so this drives powerFailure directly.
 func TestOutageTimesCapEnforced(t *testing.T) {
-	e := steadyEngineT(t, Baseline)
+	e := steadyEngineRec(t, Baseline, nil)
 	e.cfg.MaxSimTime = -1 // next hibernation exits immediately as truncated
 	for i := 0; i < OutageTimeCap+5; i++ {
 		e.truncated = false

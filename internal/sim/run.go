@@ -41,42 +41,19 @@ func (c *Canceled) Unwrap() error { return c.Cause }
 // Run is RunContext with context.Background(): uncancellable, and — since
 // the engine only ever polls a context between events without touching any
 // simulation state — bit-identical to every undisturbed RunContext call
-// (hibernate_golden_test.go and run_context_test.go pin this).
+// (run_context_test.go pins this).
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
 // RunContext is Run with a cancellation/deadline escape hatch: the engine
-// polls ctx between simulation events and inside both hibernation loops,
+// polls ctx between simulation events and inside the hibernation loop,
 // so even a weak-harvest livelock (capacitor never reaching Vrst) returns
 // promptly once ctx is done — long before the MaxSimTime truncation check
 // would fire. On cancellation it returns a *Canceled error carrying the
 // partial Result. The polls never mutate simulation state, so results are
 // bit-identical to Run whenever ctx stays undisturbed.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	return runContextMode(ctx, cfg, false)
-}
-
-// RunReference is RunContext routed through the retained per-event
-// reference stepper instead of the default batched replay loop — both
-// Ideal oracle passes included. The two loops are bit-identical on every
-// configuration (batch_golden_test.go pins this package-internally), so
-// RunReference exists for external verification harnesses — notably
-// internal/fuzz, which replays sampled fuzz configurations through the
-// stepper and requires reflect.DeepEqual against the batched Result. It is
-// a verification oracle, not a performance knob: the stepper is ~40%
-// slower than the batched loop.
-func RunReference(ctx context.Context, cfg Config) (*Result, error) {
-	return runContextMode(ctx, cfg, true)
-}
-
-// runContextMode is RunContext with the replay-loop selection exposed for
-// the package's golden tests and RunReference: refStepper routes every
-// engine the run constructs — both Ideal passes included — through the
-// per-event reference stepper instead of the batched loop. The two paths
-// must produce DeepEqual results (batch_golden_test.go pins this), which
-// is why the selector is not a Config field: Config is embedded in Result.
-func runContextMode(ctx context.Context, cfg Config, refStepper bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -99,22 +76,21 @@ func runContextMode(ctx context.Context, cfg Config, refStepper bool) (*Result, 
 	}
 
 	if cfg.Scheme == Ideal {
-		return runIdeal(ctx, cfg, trace, refStepper)
+		return runIdeal(ctx, cfg, trace)
 	}
 
 	e, err := newEngine(cfg, trace, nil)
 	if err != nil {
 		return nil, err
 	}
-	e.refStepper = refStepper
 	e.bindContext(ctx)
 	return e.run()
 }
 
 // runIdeal drives the two-pass oracle. Both passes honor ctx; a canceled
 // recording pass aborts the protocol (its schedule would be incomplete).
-func runIdeal(ctx context.Context, cfg Config, trace *workload.Trace, refStepper bool) (*Result, error) {
-	oracle, err := recordIdeal(ctx, cfg, trace, refStepper)
+func runIdeal(ctx context.Context, cfg Config, trace *workload.Trace) (*Result, error) {
+	oracle, err := recordIdeal(ctx, cfg, trace)
 	if err != nil {
 		return nil, err
 	}
@@ -122,14 +98,13 @@ func runIdeal(ctx context.Context, cfg Config, trace *workload.Trace, refStepper
 	if err != nil {
 		return nil, err
 	}
-	e.refStepper = refStepper
 	e.bindContext(ctx)
 	return e.run()
 }
 
 // recordIdeal runs the oracle's pass 1, a baseline run whose tracker keeps
 // every closed generation's last use, and returns the pass-2 predictor.
-func recordIdeal(ctx context.Context, cfg Config, trace *workload.Trace, refStepper bool) (*predictor.Ideal, error) {
+func recordIdeal(ctx context.Context, cfg Config, trace *workload.Trace) (*predictor.Ideal, error) {
 	// The trace recorder (if any) observes only the reported replay pass,
 	// so it is detached here — otherwise pass 2's StartRun would wipe pass
 	// 1's recording mid-Run and the summary would mix the two passes.
@@ -142,15 +117,14 @@ func recordIdeal(ctx context.Context, cfg Config, trace *workload.Trace, refStep
 		return nil, err
 	}
 	e.tracker.RecordLastUses()
-	e.refStepper = refStepper
 	e.bindContext(ctx)
 	if _, err := e.run(); err != nil {
 		return nil, fmt.Errorf("sim: ideal recording pass: %w", err)
 	}
 
-	// Dirty dead blocks are gated too (threshold 0): their writeback is not
-	// an extra cost but the same writeback an eventual eviction would pay,
-	// moved earlier — while the leakage and the per-outage
-	// checkpoint/restore of the dead block are pure savings.
-	return predictor.NewIdeal(e.tracker.LastUses(), 0), nil
+	// Dirty dead blocks are gated too: their writeback is not an extra
+	// cost but the same writeback an eventual eviction would pay, moved
+	// earlier — while the leakage and the per-outage checkpoint/restore of
+	// the dead block are pure savings.
+	return predictor.NewIdeal(e.tracker.LastUses()), nil
 }

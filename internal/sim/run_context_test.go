@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"edbp/internal/energy"
+	evtrace "edbp/internal/trace"
 	"edbp/internal/workload"
 )
 
@@ -161,6 +162,57 @@ func TestRunContextBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(plain, polled) {
 				t.Errorf("RunContext result diverged from Run:\n run: %v\n ctx: %v", plain, polled)
 			}
+		})
+	}
+}
+
+// pollInvisible runs mk's config plainly and again under an armed but
+// undisturbed context, and requires DeepEqual Results (recorder and
+// sampler instances aside).
+func pollInvisible(t *testing.T, mk func() Config) {
+	t.Helper()
+	plain, err := Run(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	polled, err := RunContext(ctx, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(comparableResult(plain), comparableResult(polled)) {
+		t.Errorf("armed context perturbed the run:\n plain:  %+v\n polled: %+v", plain, polled)
+	}
+}
+
+// TestBatchedContextPollBitIdentical arms a context on a traced EDBP run:
+// the loop's poll sites and its gauge-sample settles interleave, and the
+// poll must still only read.
+func TestBatchedContextPollBitIdentical(t *testing.T) {
+	t.Run("batched", func(t *testing.T) {
+		pollInvisible(t, func() Config {
+			cfg := Default("crc32", EDBP)
+			cfg.Scale = 0.25
+			cfg.Recorder = evtrace.NewRecorder(evtrace.Options{SampleEvery: 20e-6})
+			return cfg
+		})
+	})
+}
+
+// TestHibernateContextPollBitIdentical arms a context on EDBP runs whose
+// hibernation loops poll it on an RF and the thermal trace. (The "fast"
+// subtest names are from when a second, per-step hibernation loop was
+// compared too.)
+func TestHibernateContextPollBitIdentical(t *testing.T) {
+	for _, kind := range []energy.TraceKind{energy.RFHome, energy.Thermal} {
+		t.Run(kind.String()+"/fast", func(t *testing.T) {
+			pollInvisible(t, func() Config {
+				cfg := Default("crc32", EDBP)
+				cfg.Scale = 0.25
+				cfg.TraceKind = kind
+				return cfg
+			})
 		})
 	}
 }
