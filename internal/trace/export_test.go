@@ -157,3 +157,16 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Fatalf("counter events = %d, want 6", counters)
 	}
 }
+
+// TestWriteChromeTraceGolden pins the Chrome trace_event export byte for
+// byte: metadata records, cycle slices, instants on their tid lanes, and
+// the three counter tracks per sample.
+func TestWriteChromeTraceGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := exerciseRecorder().WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != chromeGolden {
+		t.Fatalf("chrome export drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, chromeGolden)
+	}
+}
