@@ -157,11 +157,7 @@ func (s *server) scrapeWorker(ctx context.Context, n cluster.Node, path string) 
 	if err != nil {
 		return nil, err
 	}
-	client := http.DefaultClient
-	if s.coord != nil && s.coord.Client != nil {
-		client = s.coord.Client
-	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

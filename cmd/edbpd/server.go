@@ -98,7 +98,7 @@ func (r runRequest) config() (sim.Config, error) {
 	if r.App == "" {
 		return sim.Config{}, fmt.Errorf("missing required field %q", "app")
 	}
-	sch, err := parseScheme(r.Scheme)
+	sch, err := sim.ParseScheme(r.Scheme)
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -124,37 +124,6 @@ func (r runRequest) config() (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	return cfg, nil
-}
-
-func parseScheme(s string) (sim.Scheme, error) {
-	switch strings.ToLower(s) {
-	case "baseline", "nvsramcache", "none":
-		return sim.Baseline, nil
-	case "sdbp":
-		return sim.SDBP, nil
-	case "decay", "cachedecay":
-		return sim.Decay, nil
-	case "amc":
-		return sim.AMC, nil
-	case "edbp":
-		return sim.EDBP, nil
-	case "decay+edbp", "combined":
-		return sim.DecayEDBP, nil
-	case "amc+edbp":
-		return sim.AMCEDBP, nil
-	case "counting":
-		return sim.Counting, nil
-	case "reftrace":
-		return sim.RefTrace, nil
-	case "counting+edbp":
-		return sim.CountingEDBP, nil
-	case "reftrace+edbp":
-		return sim.RefTraceEDBP, nil
-	case "ideal":
-		return sim.Ideal, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", s)
-	}
 }
 
 // runOutput is the Result JSON returned by POST /run, GET /jobs/{id} and

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"edbp/internal/buildinfo"
@@ -46,11 +45,7 @@ func writeTraces(rec *tracepkg.Recorder, res *sim.Result, chromePath, jsonlPath 
 		if err != nil {
 			logger.Fatal(err)
 		}
-		w := bufio.NewWriter(f)
-		if err := rec.WriteChromeTrace(w); err != nil {
-			logger.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
+		if err := rec.WriteChromeTrace(f); err != nil {
 			logger.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -71,11 +66,7 @@ func writeTraces(rec *tracepkg.Recorder, res *sim.Result, chromePath, jsonlPath 
 		if err != nil {
 			logger.Fatal(err)
 		}
-		w := bufio.NewWriter(f)
-		if err := rec.WriteJSONL(w, profile); err != nil {
-			logger.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
+		if err := rec.WriteJSONL(f, profile); err != nil {
 			logger.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -127,7 +118,7 @@ func main() {
 		return
 	}
 
-	sch, err := parseScheme(*scheme)
+	sch, err := sim.ParseScheme(*scheme)
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -268,37 +259,6 @@ func printJSON(r *sim.Result) {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
 		logger.Fatal(err)
-	}
-}
-
-func parseScheme(s string) (sim.Scheme, error) {
-	switch strings.ToLower(s) {
-	case "baseline", "nvsramcache", "none":
-		return sim.Baseline, nil
-	case "sdbp":
-		return sim.SDBP, nil
-	case "decay", "cachedecay":
-		return sim.Decay, nil
-	case "amc":
-		return sim.AMC, nil
-	case "edbp":
-		return sim.EDBP, nil
-	case "decay+edbp", "combined":
-		return sim.DecayEDBP, nil
-	case "amc+edbp":
-		return sim.AMCEDBP, nil
-	case "counting":
-		return sim.Counting, nil
-	case "reftrace":
-		return sim.RefTrace, nil
-	case "counting+edbp":
-		return sim.CountingEDBP, nil
-	case "reftrace+edbp":
-		return sim.RefTraceEDBP, nil
-	case "ideal":
-		return sim.Ideal, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", s)
 	}
 }
 

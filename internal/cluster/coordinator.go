@@ -138,7 +138,7 @@ func (m *Metrics) framed() {
 // for the rest and closed them again afterwards.
 const dispatchIdlePerWorker = 64
 
-// dispatchClient is the client a Coordinator with a nil Client uses: the
+// dispatchClient is the client every Coordinator dispatches over: the
 // default transport's settings, with dispatchIdlePerWorker idle
 // connections kept per worker and no fleet-wide idle cap.
 var dispatchClient = func() *http.Client {
@@ -152,7 +152,6 @@ var dispatchClient = func() *http.Client {
 // supervises them to completion.
 type Coordinator struct {
 	Members *Membership
-	Client  *http.Client // nil: dispatchClient
 
 	// SubmitBackoff is how long to wait before re-submitting to a worker
 	// whose bounded queue was full (default 50ms).
@@ -166,13 +165,6 @@ type Coordinator struct {
 	// span context to the worker via the traceparent header so the
 	// worker's queue-wait and run spans nest under the attempt.
 	Spans *span.Recorder
-}
-
-func (c *Coordinator) client() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	return dispatchClient
 }
 
 func (c *Coordinator) submitBackoff() time.Duration {
@@ -274,7 +266,7 @@ func (c *Coordinator) execOn(ctx context.Context, node Node, body []byte, onEven
 		if sc := span.FromCtx(ctx); sc.Valid() {
 			req.Header.Set(span.Header, sc.Traceparent())
 		}
-		resp, err := c.client().Do(req)
+		resp, err := dispatchClient.Do(req)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: run on %s: %w", node.ID, err)
 		}

@@ -18,15 +18,7 @@ type Worker struct {
 	CoordinatorURL string // base URL of the coordinator
 
 	Heartbeat time.Duration // renewal cadence (default 2s)
-	Client    *http.Client  // nil: http.DefaultClient
 	Logf      func(format string, args ...any)
-}
-
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return http.DefaultClient
 }
 
 func (w *Worker) heartbeat() time.Duration {
@@ -54,7 +46,7 @@ func (w *Worker) post(ctx context.Context, path string, v any) (int, error) {
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}

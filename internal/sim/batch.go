@@ -61,10 +61,6 @@ const tickChunk = 32
 // further by charging each flush's actual load against the slack
 // (selfRate covers the one term the load does not: self-discharge).
 type drainTable struct {
-	dtMax    float64 // longest possible single flush (s)
-	dynMax   float64 // largest dynamic energy one flush can draw (J)
-	leakMax  float64 // largest leakage+MCU energy of one flush (J)
-	selfMax  float64 // largest capacitor self-discharge of one flush (J)
 	perFlush float64 // safe per-flush headroom unit: 2·(dyn+leak+self)
 	selfRate float64 // self-discharge bound in W: 2·eMax/τ (0 when τ=0)
 }
@@ -115,7 +111,7 @@ func buildDrainTable(e *engine) drainTable {
 		// Degenerate all-zero cost model: never skip a check.
 		per = math.Inf(1)
 	}
-	return drainTable{dtMax: dt, dynMax: dyn, leakMax: leak, selfMax: self, perFlush: per, selfRate: selfRate}
+	return drainTable{perFlush: per, selfRate: selfRate}
 }
 
 // hot is the batched loop's register file: every engine field the

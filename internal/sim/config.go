@@ -10,6 +10,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"edbp/internal/cache"
 	"edbp/internal/checkpoint"
@@ -87,6 +88,40 @@ func (s Scheme) String() string {
 		return "Ideal"
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
+	}
+}
+
+// ParseScheme maps a scheme name to its Scheme, ignoring case. It accepts
+// every String() form and the short aliases the command-line tools and
+// edbpd's run requests use (baseline, decay, decay+edbp, ...).
+func ParseScheme(s string) (Scheme, error) {
+	switch strings.ToLower(s) {
+	case "baseline", "nvsramcache", "none":
+		return Baseline, nil
+	case "sdbp":
+		return SDBP, nil
+	case "decay", "cachedecay":
+		return Decay, nil
+	case "amc":
+		return AMC, nil
+	case "edbp":
+		return EDBP, nil
+	case "decay+edbp", "cachedecay+edbp", "combined":
+		return DecayEDBP, nil
+	case "amc+edbp":
+		return AMCEDBP, nil
+	case "counting":
+		return Counting, nil
+	case "reftrace":
+		return RefTrace, nil
+	case "counting+edbp":
+		return CountingEDBP, nil
+	case "reftrace+edbp":
+		return RefTraceEDBP, nil
+	case "ideal":
+		return Ideal, nil
+	default:
+		return 0, fmt.Errorf("sim: unknown scheme %q", s)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"edbp/internal/energy"
@@ -253,6 +254,45 @@ func TestSchemeString(t *testing.T) {
 	}
 	if Scheme(99).String() == "" {
 		t.Error("unknown scheme must still stringify")
+	}
+}
+
+// TestParseScheme: every alias edbpsim and edbpd accepted maps to the
+// same scheme, case does not matter, every String() form parses back
+// (edbpd returns those names in its Result JSON), and anything else is
+// an error.
+func TestParseScheme(t *testing.T) {
+	for want, names := range map[Scheme][]string{
+		Baseline:     {"baseline", "nvsramcache", "none"},
+		SDBP:         {"sdbp"},
+		Decay:        {"decay", "cachedecay"},
+		AMC:          {"amc"},
+		EDBP:         {"edbp"},
+		DecayEDBP:    {"decay+edbp", "cachedecay+edbp", "combined"},
+		AMCEDBP:      {"amc+edbp"},
+		Counting:     {"counting"},
+		RefTrace:     {"reftrace"},
+		CountingEDBP: {"counting+edbp"},
+		RefTraceEDBP: {"reftrace+edbp"},
+		Ideal:        {"ideal"},
+	} {
+		for _, name := range names {
+			for _, n := range []string{name, strings.ToUpper(name)} {
+				if got, err := ParseScheme(n); err != nil || got != want {
+					t.Errorf("ParseScheme(%q) = %v, %v; want %v", n, got, err, want)
+				}
+			}
+		}
+	}
+	for _, s := range Schemes {
+		if got, err := ParseScheme(s.String()); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, name := range []string{"", "bogus", "edbp+decay", "Scheme(99)", " edbp"} {
+		if got, err := ParseScheme(name); err == nil {
+			t.Errorf("ParseScheme(%q) = %v, want an error", name, got)
+		}
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
+
+	"edbp/internal/traceevent"
 )
 
 // JSONL wire format: one span Record per line. This is both the /trace
@@ -71,7 +74,9 @@ func fromJSON(j jsonRecord) (Record, error) {
 	r.Name = j.Name
 	r.Node = j.Node
 	r.Start = time.UnixMicro(j.StartUS).UTC()
-	r.Dur = time.Duration(j.DurUS * float64(time.Microsecond))
+	// Round, not truncate: 1001ns is written as 1.001µs, which reads
+	// back as 1000.9999999999999ns.
+	r.Dur = time.Duration(math.Round(j.DurUS * float64(time.Microsecond)))
 	r.Err = j.Err
 	for _, a := range j.Attrs {
 		r.Attrs = append(r.Attrs, Attr{Key: a.K, Value: a.V})
@@ -146,19 +151,6 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// chromeEvent mirrors the Chrome trace_event JSON schema (the subset
-// Perfetto renders), matching the internal/trace exporter.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTrace renders spans as a Chrome trace_event JSON document
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each node
 // becomes a process (pid) named after it; within a node, overlapping
@@ -168,29 +160,7 @@ type chromeEvent struct {
 func WriteChromeTrace(w io.Writer, recs []Record) error {
 	recs = append([]Record(nil), recs...)
 	SortRecords(recs)
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	put := func(ev chromeEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
-	}
+	tw := traceevent.NewWriter(w)
 
 	var epoch time.Time
 	if len(recs) > 0 {
@@ -218,14 +188,8 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 		if name == "" {
 			name = "(unattributed)"
 		}
-		if err := put(chromeEvent{Name: "process_name", Ph: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": name}}); err != nil {
-			return err
-		}
-		if err := put(chromeEvent{Name: "process_sort_index", Ph: "M", PID: pid, TID: 0,
-			Args: map[string]any{"sort_index": pid}}); err != nil {
-			return err
-		}
+		tw.Emit(traceevent.Event{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": name}})
+		tw.Emit(traceevent.Event{Name: "process_sort_index", Ph: "M", PID: pid, Args: map[string]any{"sort_index": pid}})
 	}
 
 	// Lane (tid) assignment: per node, spans whose parent lives on the
@@ -247,24 +211,13 @@ func WriteChromeTrace(w io.Writer, recs []Record) error {
 		for _, a := range r.Attrs {
 			args[a.Key] = a.Value
 		}
-		if err := put(chromeEvent{
-			Name: r.Name,
-			Cat:  "span",
-			Ph:   "X",
-			TS:   us(r.Start),
-			Dur:  float64(r.Dur) / float64(time.Microsecond),
-			PID:  pidOf[r.Node],
-			TID:  tid[i],
-			Args: args,
-		}); err != nil {
-			return err
-		}
+		tw.Emit(traceevent.Event{
+			Name: r.Name, Cat: "span", Ph: "X",
+			TS: us(r.Start), Dur: float64(r.Dur) / float64(time.Microsecond),
+			PID: pidOf[r.Node], TID: tid[i], Args: args,
+		})
 	}
-
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return tw.Close()
 }
 
 // assignLanes returns a tid per record (parallel to recs, which must be

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"edbp/internal/traceevent"
 )
 
 // JSONL schema: one object per line, discriminated by "type". The first
@@ -279,21 +281,6 @@ func ReadJSONL(rd io.Reader) (*Dump, error) {
 
 // ------------------------------------------------- Chrome trace_event --
 
-// chromeEvent is one trace_event record; ts/dur are microseconds, matching
-// the format's contract. Perfetto and chrome://tracing load the JSON
-// object form {"traceEvents": [...]}.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
 const (
 	chromePID    = 1
 	tidPhases    = 1 // power-cycle spans
@@ -306,49 +293,20 @@ const (
 // ("i"), and the gauge samples as counter ("C") tracks (capacitor,
 // dcache-blocks, edbp).
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return err
-	}
-	first := true
-	put := func(ev chromeEvent) error {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		first = false
-		if _, err := bw.WriteString("\n"); err != nil {
-			return err
-		}
-		_, err = bw.Write(data)
-		return err
-	}
-
+	tw := traceevent.NewWriter(w)
 	name := r.opt.Label
 	if name == "" {
 		name = "edbp simulation"
 	}
-	meta := []chromeEvent{
-		{Name: "process_name", Ph: "M", PID: chromePID, Args: map[string]any{"name": name}},
-		{Name: "thread_name", Ph: "M", PID: chromePID, TID: tidPhases, Args: map[string]any{"name": "power cycles"}},
-		{Name: "thread_name", Ph: "M", PID: chromePID, TID: tidEvents, Args: map[string]any{"name": "power events"}},
-		{Name: "thread_name", Ph: "M", PID: chromePID, TID: tidPredictor, Args: map[string]any{"name": "predictor"}},
-	}
-	for _, m := range meta {
-		if err := put(m); err != nil {
-			return err
-		}
-	}
+	tw.Emit(traceevent.Event{Name: "process_name", Ph: "M", PID: chromePID, Args: map[string]any{"name": name}})
+	tw.Emit(traceevent.Event{Name: "thread_name", Ph: "M", PID: chromePID, TID: tidPhases, Args: map[string]any{"name": "power cycles"}})
+	tw.Emit(traceevent.Event{Name: "thread_name", Ph: "M", PID: chromePID, TID: tidEvents, Args: map[string]any{"name": "power events"}})
+	tw.Emit(traceevent.Event{Name: "thread_name", Ph: "M", PID: chromePID, TID: tidPredictor, Args: map[string]any{"name": "predictor"}})
 
 	sum := r.Summary()
 	for i := range sum.Cycles {
 		c := &sum.Cycles[i]
-		if err := put(chromeEvent{
+		tw.Emit(traceevent.Event{
 			Name: "powered", Cat: "cycle", Ph: "X",
 			TS: c.Start * 1e6, Dur: c.OnDuration() * 1e6,
 			PID: chromePID, TID: tidPhases,
@@ -361,71 +319,43 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				"max_level":    c.MaxLevel,
 				"zombie_fn":    c.Counts.ZombieFN,
 			},
-		}); err != nil {
-			return err
-		}
+		})
 		// The off span between this cycle's end and the next one's start.
 		if i+1 < len(sum.Cycles) {
 			next := &sum.Cycles[i+1]
 			if next.Start > c.End {
-				if err := put(chromeEvent{
+				tw.Emit(traceevent.Event{
 					Name: "off", Cat: "cycle", Ph: "X",
 					TS: c.End * 1e6, Dur: (next.Start - c.End) * 1e6,
 					PID: chromePID, TID: tidPhases,
 					Args: map[string]any{"cycle": c.Index},
-				}); err != nil {
-					return err
-				}
+				})
 			}
 		}
 	}
 
-	var err error
 	r.Events(func(ev *Event) {
-		if err != nil {
-			return
-		}
 		tid := tidEvents
 		switch ev.Kind {
 		case KindGateLevel, KindBlockGated, KindWrongKill,
 			KindThresholdStep, KindThresholdReset, KindSweep:
 			tid = tidPredictor
 		}
-		err = put(chromeEvent{
+		tw.Emit(traceevent.Event{
 			Name: ev.Kind.String(), Cat: "event", Ph: "i",
 			TS: ev.Time * 1e6, PID: chromePID, TID: tid, Scope: "t",
 			Args: map[string]any{"cycle": ev.Cycle, "a": ev.A, "b": ev.B, "v": ev.V},
 		})
 	})
-	if err != nil {
-		return err
-	}
 
 	r.Samples(func(s *Sample) {
-		if err != nil {
-			return
-		}
 		ts := s.Time * 1e6
-		counters := []chromeEvent{
-			{Name: "capacitor", Ph: "C", TS: ts, PID: chromePID,
-				Args: map[string]any{"voltage_V": s.Voltage, "stored_uJ": s.Stored * 1e6}},
-			{Name: "dcache-blocks", Ph: "C", TS: ts, PID: chromePID,
-				Args: map[string]any{"live": s.Live, "gated": s.Gated, "dirty": s.Dirty}},
-			{Name: "edbp", Ph: "C", TS: ts, PID: chromePID,
-				Args: map[string]any{"level": s.Level, "fpr": s.FPR, "zombie_ratio": s.ZombieRatio}},
-		}
-		for _, c := range counters {
-			if err = put(c); err != nil {
-				return
-			}
-		}
+		tw.Emit(traceevent.Event{Name: "capacitor", Ph: "C", TS: ts, PID: chromePID,
+			Args: map[string]any{"voltage_V": s.Voltage, "stored_uJ": s.Stored * 1e6}})
+		tw.Emit(traceevent.Event{Name: "dcache-blocks", Ph: "C", TS: ts, PID: chromePID,
+			Args: map[string]any{"live": s.Live, "gated": s.Gated, "dirty": s.Dirty}})
+		tw.Emit(traceevent.Event{Name: "edbp", Ph: "C", TS: ts, PID: chromePID,
+			Args: map[string]any{"level": s.Level, "fpr": s.FPR, "zombie_ratio": s.ZombieRatio}})
 	})
-	if err != nil {
-		return err
-	}
-
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return tw.Close()
 }
