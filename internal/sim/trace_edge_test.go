@@ -126,3 +126,56 @@ func TestReadOnlyTraceNeverWritesBack(t *testing.T) {
 		}
 	}
 }
+
+// fetchCounts replays a synthetic trace under Baseline and reports its
+// instruction count and I-cache accesses and misses. The replay loop
+// alone walks the PC: these cases pin where each instruction fetch falls.
+func fetchCounts(t *testing.T, build func(m *workload.Mem)) (instrs, accesses, misses uint64) {
+	t.Helper()
+	r := runTrace(t, synthetic(t, build), Baseline)
+	return r.Instructions, r.ICacheStats.Accesses(), r.ICacheStats.Misses
+}
+
+// TestFetchPerBlockBoundary: four instructions fit in one 16 B block and
+// cost one fetch; the fifth crosses into the next block.
+func TestFetchPerBlockBoundary(t *testing.T) {
+	for _, tc := range []struct{ n, accesses uint64 }{{4, 1}, {5, 2}} {
+		instrs, acc, _ := fetchCounts(t, func(m *workload.Mem) { m.Tick(int(tc.n)) })
+		if instrs != tc.n || acc != tc.accesses {
+			t.Errorf("Tick(%d): %d instructions, %d I-cache accesses; want %d, %d",
+				tc.n, instrs, acc, tc.n, tc.accesses)
+		}
+	}
+}
+
+// TestTopLevelWraps: top-level code wraps within its implicit 1 KiB
+// region, so 4096 instructions fetch 1024 blocks but miss only on the
+// region's 64 distinct ones.
+func TestTopLevelWraps(t *testing.T) {
+	instrs, acc, miss := fetchCounts(t, func(m *workload.Mem) { m.Tick(4096) })
+	if instrs != 4096 || acc != 1024 || miss != 64 {
+		t.Fatalf("Tick(4096): %d instructions, %d accesses, %d misses; want 4096, 1024, 64",
+			instrs, acc, miss)
+	}
+}
+
+// TestRegionWrap: a 64 B region (four blocks) loops 40 times at 16
+// instructions a pass, fetching its four blocks per pass. The call is one
+// instruction in the caller's block, the return one in the region's first
+// block (the last pass wrapped there), and execution resumes after the
+// call: 2+1+640+1+3 instructions, one fetch before the call, 160 inside,
+// one for the return and two after it. Only the region's four blocks and
+// two top-level blocks ever miss.
+func TestRegionWrap(t *testing.T) {
+	instrs, acc, miss := fetchCounts(t, func(m *workload.Mem) {
+		r := m.NewRegion("hot", 64)
+		m.Tick(2)
+		m.Enter(r)
+		m.Tick(640)
+		m.Leave()
+		m.Tick(3)
+	})
+	if instrs != 647 || acc != 164 || miss != 6 {
+		t.Fatalf("%d instructions, %d accesses, %d misses; want 647, 164, 6", instrs, acc, miss)
+	}
+}
