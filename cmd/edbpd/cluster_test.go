@@ -356,6 +356,16 @@ func TestClusterSingleRunDispatch(t *testing.T) {
 		t.Errorf("coordinator runs_ok = %g after dispatch, want still 1", coord.srv.met.runsOK.Value())
 	}
 
+	// A config the worker's simulator rejects is the client's error: 400
+	// bad_request from the coordinator, and the worker stays alive.
+	var bad cluster.ErrorBody
+	if code := doJSON(t, "POST", coord.ts.URL+"/run", `{"app":"crc32","scale":0.05,"cache_bytes":16384,"cache_ways":512}`, &bad); code != http.StatusBadRequest || bad.Code != cluster.CodeBadRequest {
+		t.Errorf("dispatched bad config = %d %+v, want 400 %q", code, bad, cluster.CodeBadRequest)
+	}
+	if code := doJSON(t, "GET", coord.ts.URL+"/cluster/nodes", "", &nodes); code != http.StatusOK || len(nodes) != 1 || !nodes[0].Alive {
+		t.Errorf("/cluster/nodes after a rejected config = %d %+v, want w1 alive", code, nodes)
+	}
+
 	// The dispatched result is cached coordinator-side.
 	var again runOutput
 	doJSON(t, "POST", coord.ts.URL+"/run", `{"app":"crc32","scheme":"edbp","scale":0.05}`, &again)

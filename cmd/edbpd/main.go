@@ -44,10 +44,12 @@
 //
 // Errors: every error response is {"error": "...", "code": "..."} with a
 // stable code: bad_request, not_found, queue_full and draining (503 with
-// Retry-After), no_workers, run_failed, timeout, or internal; a failed
-// queued job also reports run_failed, timeout or drain_aborted, in its
-// /jobs/{id} snapshot or its stream's "error" frame. Clients branch on
-// the status and the code, never on the message.
+// Retry-After), no_workers, run_failed, timeout, or internal. A config
+// the simulator rejects is a 400 bad_request, also when a coordinator's
+// worker rejected it. A failed queued job also reports bad_request,
+// run_failed, timeout or drain_aborted, in its /jobs/{id} snapshot or its
+// stream's "error" frame. Clients branch on the status and the code, never
+// on the message.
 //
 // Logging: every binary in this repo takes -log-level (debug|info|warn|
 // error) and -log-format (text|json). Text keeps the historical

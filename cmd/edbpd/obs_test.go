@@ -220,6 +220,26 @@ func TestStreamNoRun(t *testing.T) {
 	}
 }
 
+// TestStreamIntervalBound: GET /stream takes an interval of at most one
+// minute. A huge one used to overflow time.Duration into a negative ticker
+// interval, whose panic on the sampler goroutine ended the process once any
+// run had started.
+func TestStreamIntervalBound(t *testing.T) {
+	_, ts := testServer(t, serverOptions{})
+	if code := doJSON(t, "POST", ts.URL+"/run", `{"app":"crc32","scheme":"baseline","scale":0.05}`, nil); code != http.StatusOK {
+		t.Fatalf("POST /run = %d, want 200", code)
+	}
+	for _, v := range []string{"60001", "9223372036855"} {
+		if code := doJSON(t, "GET", ts.URL+"/stream?interval_ms="+v, "", nil); code != http.StatusBadRequest {
+			t.Errorf("GET /stream?interval_ms=%s = %d, want 400", v, code)
+		}
+	}
+	// The bound itself is accepted: the finished run's stream ends at once.
+	if code := doJSON(t, "GET", ts.URL+"/stream?interval_ms=60000", "", nil); code != http.StatusOK {
+		t.Errorf("GET /stream?interval_ms=60000 = %d, want 200", code)
+	}
+}
+
 // TestPprofGating: /debug/pprof is mounted only when the option is set.
 func TestPprofGating(t *testing.T) {
 	_, off := testServer(t, serverOptions{})

@@ -127,8 +127,9 @@ func (r runRequest) config() (sim.Config, error) {
 }
 
 // runOutput is the Result JSON returned by POST /run, GET /jobs/{id} and
-// the "result" frame of POST /run?stream=1.
-// Field names are stable; cmd/edbpsim -json uses the same vocabulary.
+// the "result" frame of POST /run?stream=1. Its snake_case field names are
+// stable API. cmd/edbpsim -json is a different schema: it writes Go field
+// names (WallSeconds, not wall_seconds) and more of the Result.
 type runOutput struct {
 	App    string `json:"app"`
 	Scheme string `json:"scheme"`
@@ -659,13 +660,21 @@ func httpError(w http.ResponseWriter, status int, code, format string, args ...a
 	writeJSON(w, status, cluster.ErrorBody{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
-// runErrorCode is the error code of a run that returned err.
+// runErrorCode is the error code of a run that returned err. A config sim
+// rejects, here or on the worker a coordinator dispatched it to, is the
+// client's error.
 func runErrorCode(err error) string {
+	var (
+		ce   *sim.ConfigError
+		term *cluster.TerminalError
+	)
 	switch {
 	case errors.Is(err, errDrainAborted):
 		return cluster.CodeDrainAborted
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return cluster.CodeTimeout
+	case errors.As(err, &ce), errors.As(err, &term) && term.Code == cluster.CodeBadRequest:
+		return cluster.CodeBadRequest
 	default:
 		return cluster.CodeRunFailed
 	}
@@ -777,8 +786,11 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		code := runErrorCode(err)
 		status := http.StatusInternalServerError
-		if code == cluster.CodeTimeout {
+		switch code {
+		case cluster.CodeTimeout:
 			status = http.StatusGatewayTimeout
+		case cluster.CodeBadRequest:
+			status = http.StatusBadRequest
 		}
 		httpError(w, status, code, "%v", err)
 		return
@@ -1012,14 +1024,19 @@ type gaugeFrame struct {
 	ZombieRatio float64 `json:"zombie_ratio"`
 }
 
+// maxStreamInterval bounds GET /stream's ?interval_ms. A longer poll
+// would show nothing a client can use, and a large enough one overflows
+// time.Duration into a negative ticker interval.
+const maxStreamInterval = time.Minute
+
 // handleStream serves GET /stream: a Server-Sent Events feed of sampled
 // gauges (capacitor voltage and stored energy, live/gated/dirty block
 // counts, EDBP level, FPR, zombie ratio) read from an in-flight run's
 // trace.Recorder via its race-safe live gauge. ?job=<id> follows a
 // specific async job (waiting for it to start); without it the most
 // recently started run is streamed. ?interval_ms tunes the poll cadence
-// (default 100). Each new sample is one "gauge" event; a final "done"
-// event closes the stream when the run finishes.
+// (default 100, at most maxStreamInterval). Each new sample is one "gauge"
+// event; a final "done" event closes the stream when the run finishes.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -1029,8 +1046,9 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	interval := 100 * time.Millisecond
 	if v := r.URL.Query().Get("interval_ms"); v != "" {
 		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 1 {
-			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad interval_ms %q", v)
+		if err != nil || ms < 1 || ms > int(maxStreamInterval/time.Millisecond) {
+			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest,
+				"bad interval_ms %q (want 1 to %d)", v, maxStreamInterval/time.Millisecond)
 			return
 		}
 		interval = time.Duration(ms) * time.Millisecond

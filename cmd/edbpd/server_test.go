@@ -100,15 +100,22 @@ func TestRunValidation(t *testing.T) {
 		`{"app":"crc32","scheme":"bogus"}`, // unknown scheme
 		`{"app":"crc32","trace":"Lunar"}`,  // unknown energy trace
 		`not json`,
+		// Configs sim.Run rejects with a *sim.ConfigError.
+		`{"app":"crc32","scale":0.05,"cache_bytes":16384,"cache_ways":512}`, // past uint8 way indices
+		`{"app":"crc32","scale":0.05,"cache_bytes":1000}`,                   // not a power of two
+		`{"app":"crc32","scale":0.05,"cap_uf":-1}`,
+		`{"app":"crc32","scale":-1}`,
+		`{"app":"crc32","scale":0.05,"policy":"PLRU","cache_ways":64}`, // PLRU's tree holds 32 ways
 	} {
-		var e struct {
-			Error string `json:"error"`
-		}
+		var e cluster.ErrorBody
 		if code := doJSON(t, "POST", ts.URL+"/run", body, &e); code != http.StatusBadRequest {
 			t.Errorf("POST %s = %d, want 400", body, code)
 		}
 		if e.Error == "" {
 			t.Errorf("POST %s: missing error message", body)
+		}
+		if e.Code != cluster.CodeBadRequest {
+			t.Errorf("POST %s: code %q, want %q", body, e.Code, cluster.CodeBadRequest)
 		}
 	}
 }

@@ -208,8 +208,8 @@ func main() {
 	printResult(res)
 }
 
-// printJSON emits a machine-readable summary (stable field names; see
-// the jsonResult struct for the schema).
+// printJSON emits a machine-readable summary (stable field names; the
+// anonymous struct below is the schema).
 func printJSON(r *sim.Result) {
 	type breakdown struct {
 		DCacheDynamic, DCacheLeak, ICacheDynamic, ICacheLeak float64

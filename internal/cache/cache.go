@@ -32,7 +32,16 @@ type Config struct {
 	Power      PowerMode  // gating hardware model
 }
 
-// Validate reports configuration errors.
+// maxWays bounds the associativity: the LRU recency stacks (and
+// HitView.Stack) hold way indices as uint8.
+const maxWays = 256
+
+// maxPLRUWays bounds PLRU's associativity: its ways−1 tree bits per set
+// live in one uint32.
+const maxPLRUWays = 32
+
+// Validate reports configuration errors. New builds every configuration
+// it accepts.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.SizeBytes&(c.SizeBytes-1) != 0:
@@ -41,12 +50,24 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: block size must be a positive power of two, got %d", c.BlockBytes)
 	case c.Ways <= 0:
 		return fmt.Errorf("cache: associativity must be positive, got %d", c.Ways)
+	case c.Ways > maxWays:
+		return fmt.Errorf("cache: associativity %d exceeds %d ways", c.Ways, maxWays)
 	case c.SizeBytes%(c.BlockBytes*c.Ways) != 0:
 		return fmt.Errorf("cache: size %d not divisible by block size %d × ways %d", c.SizeBytes, c.BlockBytes, c.Ways)
 	}
 	sets := c.SizeBytes / (c.BlockBytes * c.Ways)
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d must be a power of two", sets)
+	}
+	switch c.Policy {
+	case LRU, FIFO, Random, DRRIP:
+	case PLRU:
+		// Ways is a power of two here: size, block size and set count are.
+		if c.Ways > maxPLRUWays {
+			return fmt.Errorf("cache: PLRU supports up to %d ways, got %d", maxPLRUWays, c.Ways)
+		}
+	default:
+		return fmt.Errorf("cache: unknown policy kind %d", int(c.Policy))
 	}
 	return nil
 }
@@ -152,10 +173,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pol, err := newPolicy(cfg.Policy, cfg.Sets(), cfg.Ways)
-	if err != nil {
-		return nil, err
-	}
+	pol := newPolicy(cfg.Policy, cfg.Sets(), cfg.Ways)
 	c := &Cache{
 		cfg:        cfg,
 		sets:       cfg.Sets(),

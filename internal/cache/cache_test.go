@@ -27,7 +27,9 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 4096, BlockBytes: 0, Ways: 4},
 		{SizeBytes: 4096, BlockBytes: 24, Ways: 4},
 		{SizeBytes: 4096, BlockBytes: 16, Ways: 0},
-		{SizeBytes: 4096, BlockBytes: 16, Ways: 3}, // 85.33 sets
+		{SizeBytes: 4096, BlockBytes: 16, Ways: 3},    // 85.33 sets
+		{SizeBytes: 16384, BlockBytes: 16, Ways: 512}, // past uint8 way indices
+		{SizeBytes: 4096, BlockBytes: 16, Ways: 4, Policy: PolicyKind(99)},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -36,6 +38,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := defaultConfig().Validate(); err != nil {
 		t.Errorf("default rejected: %v", err)
+	}
+	if err := (Config{SizeBytes: 16384, BlockBytes: 16, Ways: 256}).Validate(); err != nil {
+		t.Errorf("256-way cache rejected: %v", err)
 	}
 	if got := defaultConfig().Sets(); got != 64 {
 		t.Errorf("Sets() = %d, want 64", got)

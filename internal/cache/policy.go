@@ -87,20 +87,19 @@ type Policy interface {
 	Rank(set int, buf []int) []int
 }
 
-func newPolicy(kind PolicyKind, sets, ways int) (Policy, error) {
+// newPolicy builds the policy of a configuration Config.Validate accepted.
+func newPolicy(kind PolicyKind, sets, ways int) Policy {
 	switch kind {
-	case LRU:
-		return newLRU(sets, ways), nil
 	case PLRU:
 		return newPLRU(sets, ways)
 	case FIFO:
-		return newFIFO(sets, ways), nil
+		return newFIFO(sets, ways)
 	case Random:
-		return newRandom(sets, ways), nil
+		return newRandom(sets, ways)
 	case DRRIP:
-		return newDRRIP(sets, ways), nil
+		return newDRRIP(sets, ways)
 	default:
-		return nil, fmt.Errorf("cache: unknown policy kind %d", kind)
+		return newLRU(sets, ways)
 	}
 }
 
@@ -242,14 +241,10 @@ type plruPolicy struct {
 	bits []uint32 // one word of tree bits per set
 }
 
-func newPLRU(sets, ways int) (*plruPolicy, error) {
-	if ways&(ways-1) != 0 {
-		return nil, fmt.Errorf("cache: PLRU requires power-of-two associativity, got %d", ways)
-	}
-	if ways > 32 {
-		return nil, fmt.Errorf("cache: PLRU supports up to 32 ways, got %d", ways)
-	}
-	return &plruPolicy{ways: ways, bits: make([]uint32, sets)}, nil
+// newPLRU builds PLRU for a power-of-two associativity of at most
+// maxPLRUWays (Config.Validate checks both).
+func newPLRU(sets, ways int) *plruPolicy {
+	return &plruPolicy{ways: ways, bits: make([]uint32, sets)}
 }
 
 func (p *plruPolicy) Kind() PolicyKind { return PLRU }

@@ -32,10 +32,7 @@ func TestRankIsPermutation(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			const sets, ways = 8, 4
-			p, err := newPolicy(kind, sets, ways)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := newPolicy(kind, sets, ways)
 			f := func(ops []uint16) bool {
 				for _, op := range ops {
 					set := int(op) % sets
@@ -77,10 +74,7 @@ func TestVictimInRange(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			const sets, ways = 4, 4
-			p, err := newPolicy(kind, sets, ways)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := newPolicy(kind, sets, ways)
 			rng := xrand.New(5)
 			for i := 0; i < 2000; i++ {
 				set := rng.Intn(sets)
@@ -140,10 +134,7 @@ func TestRandomDeterministic(t *testing.T) {
 }
 
 func TestPLRUVictimAvoidsRecentlyUsed(t *testing.T) {
-	p, err := newPLRU(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newPLRU(1, 4)
 	// Touch ways 0..3 in order; PLRU guarantees the victim is not the
 	// most recently touched way.
 	for w := 0; w < 4; w++ {
@@ -154,24 +145,32 @@ func TestPLRUVictimAvoidsRecentlyUsed(t *testing.T) {
 	}
 	// After touching only way 2, the victim must come from the other
 	// subtree (ways 0 or 1).
-	p2, _ := newPLRU(1, 4)
+	p2 := newPLRU(1, 4)
 	p2.OnHit(0, 2)
 	if v := p2.Victim(0); v == 2 {
 		t.Fatal("PLRU victim must not be the just-touched way")
 	}
 }
 
+// TestPLRURejectsBadWays: Config.Validate holds PLRU to its tree's
+// power-of-two, at most 32-way shape.
 func TestPLRURejectsBadWays(t *testing.T) {
-	if _, err := newPLRU(1, 3); err == nil {
-		t.Error("non-power-of-two ways accepted")
+	for _, ways := range []int{3, 64} {
+		cfg := Config{SizeBytes: 16384, BlockBytes: 16, Ways: ways, Policy: PLRU}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%d-way PLRU accepted", ways)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New built a %d-way PLRU", ways)
+		}
 	}
-	if _, err := newPLRU(1, 64); err == nil {
-		t.Error("over-wide PLRU accepted")
+	if err := (Config{SizeBytes: 16384, BlockBytes: 16, Ways: 32, Policy: PLRU}).Validate(); err != nil {
+		t.Errorf("32-way PLRU rejected: %v", err)
 	}
 }
 
 func TestPLRURankMRUFirst(t *testing.T) {
-	p, _ := newPLRU(1, 4)
+	p := newPLRU(1, 4)
 	p.OnHit(0, 1)
 	rank := p.Rank(0, nil)
 	if rank[0] != 1 {

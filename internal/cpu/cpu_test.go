@@ -44,81 +44,35 @@ func regions() []workload.Region {
 	return tr.Regions
 }
 
-func TestFetchPerBlockBoundary(t *testing.T) {
-	f := NewFetcher(regions(), 16)
-	var fetches []uint32
-	fetch := func(b uint32) { fetches = append(fetches, b) }
-
-	// 4 instructions fit in one 16 B block: exactly one fetch.
-	f.Step(4, fetch)
-	if len(fetches) != 1 {
-		t.Fatalf("4 instructions caused %d fetches, want 1", len(fetches))
-	}
-	// The 5th instruction crosses into the next block.
-	f.Step(1, fetch)
-	if len(fetches) != 2 {
-		t.Fatalf("5th instruction caused %d total fetches, want 2", len(fetches))
-	}
-	if fetches[1] != fetches[0]+16 {
-		t.Fatalf("second fetch at %#x, want %#x", fetches[1], fetches[0]+16)
-	}
-}
-
-func TestTopLevelWraps(t *testing.T) {
-	f := NewFetcher(regions(), 16)
-	blocks := map[uint32]bool{}
-	f.Step(4096, func(b uint32) { blocks[b] = true })
-	// Top-level code wraps within its implicit region: the set of
-	// distinct blocks is bounded by the region size, not the step count.
-	if len(blocks) > topLevelBytes/16 {
-		t.Fatalf("top-level execution touched %d blocks, want ≤ %d", len(blocks), topLevelBytes/16)
-	}
-}
-
+// TestEnterLeaveRestoresPC: Enter saves the PC the replay loop left after
+// the call instruction and moves to the region; Leave, after the return
+// instruction, resumes there with the top-level bounds back.
 func TestEnterLeaveRestoresPC(t *testing.T) {
 	regs := regions()
-	f := NewFetcher(regs, 16)
-	fetch := func(uint32) {}
-	f.Step(2, fetch)
-	before := f.PC()
-	f.Enter(0, fetch)
+	f := NewFetcher(regs)
+	ret := uint32(topLevelBase + 12)
+	f.SetHot(ret, topLevelBase)
+	f.Enter(0)
 	if f.PC() != regs[0].Base {
 		t.Fatalf("PC after Enter = %#x, want region base %#x", f.PC(), regs[0].Base)
 	}
-	f.Step(3, fetch)
-	f.Leave(fetch)
-	// The Leave itself executed one instruction at the return site, so PC
-	// resumed from just after the call.
-	if got := f.PC(); got < before || got > before+16 {
-		t.Fatalf("PC after Leave = %#x, want near %#x", got, before)
+	if base, end := f.Bounds(); base != regs[0].Base || end != regs[0].Base+regs[0].Size {
+		t.Fatalf("bounds in region = [%#x, %#x), want [%#x, %#x)", base, end, regs[0].Base, regs[0].Base+regs[0].Size)
 	}
-}
-
-func TestRegionWrap(t *testing.T) {
-	regs := regions() // 64-byte region
-	f := NewFetcher(regs, 16)
-	fetch := func(uint32) {}
-	f.Enter(0, fetch)
-	base := regs[0].Base
-	// Execute exactly the region's 16 instructions: the PC wraps to base.
-	f.Step(16, fetch)
-	if f.PC() != base {
-		t.Fatalf("PC after full region pass = %#x, want wrap to %#x", f.PC(), base)
+	f.SetHot(regs[0].Base+8, regs[0].Base)
+	f.Leave()
+	if got := f.PC(); got != ret {
+		t.Fatalf("PC after Leave = %#x, want return address %#x", got, ret)
 	}
-	// Fetches within the region stay within its blocks.
-	blocks := map[uint32]bool{}
-	f.Step(640, func(b uint32) { blocks[b] = true })
-	for b := range blocks {
-		if b < base || b >= base+regs[0].Size {
-			t.Fatalf("fetch at %#x outside region [%#x, %#x)", b, base, base+regs[0].Size)
-		}
-	}
-	if len(blocks) != 4 {
-		t.Fatalf("loop touched %d blocks, want all 4 of the region", len(blocks))
+	if base, end := f.Bounds(); base != topLevelBase || end != topLevelBase+topLevelBytes {
+		t.Fatalf("bounds after Leave = [%#x, %#x), want the top-level region", base, end)
 	}
 }
 
 func TestLeaveOnEmptyStackIsSafe(t *testing.T) {
-	f := NewFetcher(regions(), 16)
-	f.Leave(func(uint32) {}) // must not panic
+	f := NewFetcher(regions())
+	f.Leave() // must not panic
+	if f.PC() != topLevelBase {
+		t.Fatalf("PC after top-level Leave = %#x, want %#x unchanged", f.PC(), topLevelBase)
+	}
 }

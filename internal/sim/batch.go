@@ -11,13 +11,15 @@ import (
 
 // This file is the engine's replay loop (DESIGN.md §7.1). It replays the
 // columnar trace one flush at a time: a tick chunk of up to tickChunk
-// compute instructions, one load or store, or one region transition each
-// advance the clock and integrate leakage, MCU power, the harvest and the
-// capacitor, with the engine's hot state hoisted into a stack-local
-// register file (hot) between batch edges. The golden Result corpus
-// (corpus_golden_test.go) pins its arithmetic operation for operation,
-// including the association of each float sum, so any reordering that
-// "only" rounds differently is a result change.
+// compute instructions, or the one instruction of a load, store, call or
+// return, each advance the clock and integrate leakage, MCU power, the
+// harvest and the capacitor, with the engine's hot state hoisted into a
+// stack-local register file (hot) between batch edges. It is the only code
+// that walks the PC and charges instruction fetches; cpu.Fetcher keeps the
+// region stack a call or return moves the PC through. The golden Result
+// corpus (corpus_golden_test.go) pins its arithmetic operation for
+// operation, including the association of each float sum, so any
+// reordering that "only" rounds differently is a result change.
 //
 // The idea that makes it fast is ETAP-style worst-case energy bounding
 // (Erata et al.; DESIGN.md §7.1): the capacitor only *matters* when it
@@ -295,7 +297,7 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 	// minus the pointer chases).
 	var (
 		cycleTime                        = e.cycleTime
-		bm                               = e.fetch.BlockBytes() - 1
+		bm                               = uint32(e.cfg.BlockBytes) - 1
 		dcLat, dcE                       = e.dcLat, e.dcE
 		dcMissLat                        = e.dcMissLat
 		memReadE                         = e.memReadE
@@ -375,32 +377,11 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 		}
 
 		// ------------------------------------------------ one flush unit --
-		// One tick chunk (≤ tickChunk instructions), one memory event or
-		// one region transition; dt and the three dynamic-energy inputs
-		// feed the inlined flush below.
+		// One tick chunk (≤ tickChunk instructions) or one single-instruction
+		// event — a load, a store, a call or a return; dt and the three
+		// dynamic-energy inputs feed the inlined flush below.
 		var dt, dcDyn, icDyn, memDyn float64
-		switch op {
-		case workload.OpEnter, workload.OpLeave:
-			// One branch instruction plus the PC redirect. The fetcher owns
-			// the region stack, so it runs the transition on the synced
-			// PC, fetching through ifetch into the engine's scratch sums,
-			// and the new region's bounds are reloaded.
-			e.eventIdx = uint64(i)
-			e.now = h.now
-			e.fetch.SetHot(h.pc, h.block)
-			e.fLat, e.fDyn, e.fMemE = 0, 0, 0
-			if op == workload.OpEnter {
-				e.fetch.Enter(int(arg), e.ifetchFn)
-			} else {
-				e.fetch.Leave(e.ifetchFn)
-			}
-			h.pc, h.block = e.fetch.Hot()
-			h.rBase, h.rEnd = e.fetch.Bounds()
-			h.instrs++
-			dt = cycleTime + e.fLat
-			icDyn = e.fDyn
-			memDyn = e.fMemE
-		case workload.OpTick:
+		if op == workload.OpTick {
 			k := tickLeft
 			if k > tickChunk {
 				k = tickChunk
@@ -442,8 +423,6 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 									if icTracker != nil {
 										icTracker.BlockHit(set, w, uint64(i), h.now)
 									}
-									fLat += ifHitLat
-									fDyn += ifHitDyn
 									hit = true
 								}
 								break
@@ -451,25 +430,15 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 						}
 					}
 					if !hit {
-						res := &e.icRes
-						ic.AccessTo(uint64(blk), false, res)
-						if icTracker != nil {
-							notifyTracker(icTracker, res, uint64(blk), uint64(i), h.now)
-						}
-						if res.Hit {
-							fLat += ifHitLat
-							fDyn += ifHitDyn
-						} else {
-							fLat += ifMissLat
-							fDyn += ifMissDyn
-							fMemE += ifMissMemE
-						}
-						if icPred != nil {
-							e.eventIdx = uint64(i)
-							e.now = h.now
-							e.fetch.SetHot(h.pc, h.block)
-							icPred.AfterAccess(*res)
-						}
+						hit = e.icFetch(blk, i, h.now, h.pc)
+					}
+					if hit {
+						fLat += ifHitLat
+						fDyn += ifHitDyn
+					} else {
+						fLat += ifMissLat
+						fDyn += ifMissDyn
+						fMemE += ifMissMemE
 					}
 				}
 				limit := blk + bm + 1
@@ -494,12 +463,14 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 			dt = float64(k)*cycleTime + fLat
 			icDyn = fDyn
 			memDyn = fMemE
-		default: // OpLoad, OpStore
+		} else {
+			// The event's one instruction: the same fetch as the tick walk
+			// (a second inlined probe, kept because one walk loop for every
+			// op measured slower; DESIGN.md §7.1), then the PC advance.
 			var fLat, fDyn, fMemE float64
 			blk := h.pc &^ bm
 			if blk != h.block {
 				h.block = blk
-				// Same inlined I-fetch fast path as the tick walk above.
 				hit := false
 				if icFast {
 					ba := uint64(blk) >> icv.BlockShift
@@ -525,8 +496,6 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 								if icTracker != nil {
 									icTracker.BlockHit(set, w, uint64(i), h.now)
 								}
-								fLat += ifHitLat
-								fDyn += ifHitDyn
 								hit = true
 							}
 							break
@@ -534,25 +503,12 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 					}
 				}
 				if !hit {
-					res := &e.icRes
-					ic.AccessTo(uint64(blk), false, res)
-					if icTracker != nil {
-						notifyTracker(icTracker, res, uint64(blk), uint64(i), h.now)
-					}
-					if res.Hit {
-						fLat += ifHitLat
-						fDyn += ifHitDyn
-					} else {
-						fLat += ifMissLat
-						fDyn += ifMissDyn
-						fMemE += ifMissMemE
-					}
-					if icPred != nil {
-						e.eventIdx = uint64(i)
-						e.now = h.now
-						e.fetch.SetHot(h.pc, h.block)
-						icPred.AfterAccess(*res)
-					}
+					hit = e.icFetch(blk, i, h.now, h.pc)
+				}
+				if hit {
+					fLat, fDyn = ifHitLat, ifHitDyn
+				} else {
+					fLat, fDyn, fMemE = ifMissLat, ifMissDyn, ifMissMemE
 				}
 			}
 			h.pc += 4
@@ -561,86 +517,103 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 			}
 			h.instrs++
 
-			write := op == workload.OpStore
-			fast := false
-			if dcFast {
-				// Inlined demand-hit fast path (cache.HitView). A demand
-				// hit's AccessResult is exactly {Hit, Set, Way}: the tracker
-				// hit is forwarded directly and the predictor (if any) sees
-				// the identical result struct.
-				ba := uint64(arg) >> dcv.BlockShift
-				set := int(ba & dcv.SetMask)
-				tag := ba >> dcv.SetShift
-				base := set * dcv.Ways
-				sb := dcv.Blocks[base : base+dcv.Ways]
-				for w := range sb {
-					b := &sb[w]
-					if b.Valid && b.Tag == tag {
-						if !b.Gated {
-							b.Uses++
-							if write {
-								b.Dirty = true
-								dcv.Stats.StoreHits++
-							}
-							dcv.Stats.Hits++
-							s := dcv.Stack[base : base+dcv.Ways]
-							if s[0] != uint8(w) {
-								pos := 1
-								for int(s[pos]) != w {
-									pos++
-								}
-								copy(s[1:pos+1], s[:pos])
-								s[0] = uint8(w)
-							}
-							fast = true
-							dcDyn = dcE
-							if !predIdle {
-								e.eventIdx = uint64(i)
-								e.now = h.now
-								e.fetch.SetHot(h.pc, h.block) // RefTrace reads env.PC here
-								e.dcRes = cache.AccessResult{Hit: true, Set: set, Way: w}
-								e.tracker.BlockHit(set, w, uint64(i), h.now)
-								e.pred.AfterAccess(e.dcRes)
-							} else {
-								e.tracker.BlockHit(set, w, uint64(i), h.now)
-							}
-							// (cycleTime + fLat) + dcLat, where the miss path
-							// below sums cycleTime + (fLat + dcLat + …): the
-							// two associations round differently, and the
-							// corpus pins both.
-							dt = cycleTime + fLat + dcLat
-							icDyn = fDyn
-							memDyn = fMemE
-						}
-						break
-					}
+			switch op {
+			case workload.OpEnter, workload.OpLeave:
+				// A call or return: the fetcher moves the PC between
+				// regions, and the new region's bounds are reloaded.
+				e.fetch.SetHot(h.pc, h.block)
+				if op == workload.OpEnter {
+					e.fetch.Enter(int(arg))
+				} else {
+					e.fetch.Leave()
 				}
-			}
-			if !fast {
-				res := &e.dcRes
-				dc.AccessTo(uint64(arg), write, res)
-				lat := fLat + dcLat
-				dcDyn = dcE
-				memE := fMemE
-				if !res.Hit {
-					lat += dcMissLat
-					dcDyn += dcE
-					memE += memReadE
-					if res.Evicted && res.EvictedDirty {
-						lat += memWriteLat
-						memE += memWriteE
-					}
-				}
-				notifyTracker(e.tracker, res, uint64(arg)&blockMask, uint64(i), h.now)
-				if !predIdle {
-					e.eventIdx = uint64(i)
-					e.now = h.now
-					e.fetch.SetHot(h.pc, h.block) // RefTrace reads env.PC here
-					e.pred.AfterAccess(*res)
-				}
-				dt = cycleTime + lat
+				h.pc = e.fetch.PC()
+				h.rBase, h.rEnd = e.fetch.Bounds()
+				dt = cycleTime + fLat
 				icDyn = fDyn
-				memDyn = memE
+				memDyn = fMemE
+			default: // OpLoad, OpStore
+				write := op == workload.OpStore
+				fast := false
+				if dcFast {
+					// Inlined demand-hit fast path (cache.HitView). A demand
+					// hit's AccessResult is exactly {Hit, Set, Way}: the
+					// tracker hit is forwarded directly and the predictor (if
+					// any) sees the identical result struct.
+					ba := uint64(arg) >> dcv.BlockShift
+					set := int(ba & dcv.SetMask)
+					tag := ba >> dcv.SetShift
+					base := set * dcv.Ways
+					sb := dcv.Blocks[base : base+dcv.Ways]
+					for w := range sb {
+						b := &sb[w]
+						if b.Valid && b.Tag == tag {
+							if !b.Gated {
+								b.Uses++
+								if write {
+									b.Dirty = true
+									dcv.Stats.StoreHits++
+								}
+								dcv.Stats.Hits++
+								s := dcv.Stack[base : base+dcv.Ways]
+								if s[0] != uint8(w) {
+									pos := 1
+									for int(s[pos]) != w {
+										pos++
+									}
+									copy(s[1:pos+1], s[:pos])
+									s[0] = uint8(w)
+								}
+								fast = true
+								dcDyn = dcE
+								if !predIdle {
+									e.eventIdx = uint64(i)
+									e.now = h.now
+									e.fetch.SetHot(h.pc, h.block) // RefTrace reads env.PC here
+									e.dcRes = cache.AccessResult{Hit: true, Set: set, Way: w}
+									e.tracker.BlockHit(set, w, uint64(i), h.now)
+									e.pred.AfterAccess(e.dcRes)
+								} else {
+									e.tracker.BlockHit(set, w, uint64(i), h.now)
+								}
+								// (cycleTime + fLat) + dcLat, where the miss
+								// path below sums cycleTime + (fLat + dcLat +
+								// …): the two associations round differently,
+								// and the corpus pins both.
+								dt = cycleTime + fLat + dcLat
+								icDyn = fDyn
+								memDyn = fMemE
+							}
+							break
+						}
+					}
+				}
+				if !fast {
+					res := &e.dcRes
+					dc.AccessTo(uint64(arg), write, res)
+					lat := fLat + dcLat
+					dcDyn = dcE
+					memE := fMemE
+					if !res.Hit {
+						lat += dcMissLat
+						dcDyn += dcE
+						memE += memReadE
+						if res.Evicted && res.EvictedDirty {
+							lat += memWriteLat
+							memE += memWriteE
+						}
+					}
+					notifyTracker(e.tracker, res, uint64(arg)&blockMask, uint64(i), h.now)
+					if !predIdle {
+						e.eventIdx = uint64(i)
+						e.now = h.now
+						e.fetch.SetHot(h.pc, h.block) // RefTrace reads env.PC here
+						e.pred.AfterAccess(*res)
+					}
+					dt = cycleTime + lat
+					icDyn = fDyn
+					memDyn = memE
+				}
 			}
 		}
 

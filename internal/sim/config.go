@@ -381,11 +381,12 @@ func (c Config) normalize() (Config, error) {
 	if err := c.CPU.Validate(); err != nil {
 		return c, &ConfigError{Field: "CPU", Err: err}
 	}
-	// Cache geometries are validated here — not left to cache.New inside
-	// the engine — so a zero-way or non-power-of-two fuzz config is
-	// rejected with the offending Config field named.
+	// Cache geometries and policies are validated here — not left to
+	// cache.New inside the engine — so a zero-way, non-power-of-two,
+	// over-wide or unknown-policy config is rejected with the offending
+	// Config field named.
 	if err := c.dcacheConfig().Validate(); err != nil {
-		return c, &ConfigError{Field: "DCacheBytes/DCacheWays/BlockBytes", Err: err}
+		return c, &ConfigError{Field: "DCacheBytes/DCacheWays/BlockBytes/DCachePolicy", Err: err}
 	}
 	if err := c.icacheConfig().Validate(); err != nil {
 		return c, &ConfigError{Field: "ICacheBytes/ICacheWays/BlockBytes", Err: err}

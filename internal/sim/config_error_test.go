@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"edbp/internal/cache"
 	"edbp/internal/workload"
 )
 
@@ -31,7 +32,11 @@ func TestConfigRejections(t *testing.T) {
 		{"negative-way data cache", func(c *Config) { c.DCacheWays = -4 }, "DCacheWays"},
 		{"non-power-of-two data cache", func(c *Config) { c.DCacheBytes = 3000 }, "DCacheBytes"},
 		{"block larger than cache", func(c *Config) { c.DCacheBytes = 64; c.BlockBytes = 256 }, "DCacheBytes"},
+		{"512-way data cache", func(c *Config) { c.DCacheBytes = 16384; c.DCacheWays = 512 }, "DCacheWays"},
+		{"64-way PLRU data cache", func(c *Config) { c.DCacheWays = 64; c.DCachePolicy = cache.PLRU }, "DCachePolicy"},
+		{"unknown data cache policy", func(c *Config) { c.DCachePolicy = cache.PolicyKind(99) }, "DCachePolicy"},
 		{"negative-way instruction cache", func(c *Config) { c.ICacheWays = -1 }, "ICacheWays"},
+		{"512-way instruction cache", func(c *Config) { c.ICacheBytes = 16384; c.ICacheWays = 512 }, "ICacheWays"},
 		{"empty trace", func(c *Config) { c.Trace = emptyTrace }, "Trace"},
 		{"no app and no trace", func(c *Config) { c.App = "" }, "App"},
 		{"negative scale", func(c *Config) { c.Scale = -1 }, "Scale"},

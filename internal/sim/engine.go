@@ -36,8 +36,7 @@ type engine struct {
 	mem     *nvm.Memory
 
 	fetch     *cpu.Fetcher
-	ifetchFn  func(uint32) // e.ifetch, bound once (no per-call method value)
-	blockMask uint64       // ^(BlockBytes-1)
+	blockMask uint64 // ^(BlockBytes-1)
 	cycleTime float64
 	mcuPower  float64
 
@@ -150,14 +149,8 @@ type engine struct {
 	// the checkpoint (the JIT energy reserve covers them).
 	pendingWB int
 
-	// Scratch accumulators for a region transition's instruction fetches
-	// (ifetch adds into them; batch.go reads them into the branch flush).
-	fLat  float64
-	fDyn  float64
-	fMemE float64
-
 	// Per-cache access-result scratch (see cache.AccessTo); dcRes is dead
-	// once the memory event's flush starts, icRes once ifetch returns.
+	// once the memory event's flush starts, icRes once icFetch returns.
 	dcRes cache.AccessResult
 	icRes cache.AccessResult
 
@@ -207,7 +200,7 @@ func newEngine(cfg Config, trace *workload.Trace, predOverride predictor.Predict
 		ic:        ic,
 		dcModel:   dcModel,
 		mem:       mem,
-		fetch:     cpu.NewFetcher(trace.Regions, cfg.BlockBytes),
+		fetch:     cpu.NewFetcher(trace.Regions),
 		cycleTime: cfg.CPU.CycleTime(),
 		mcuPower:  cfg.CPU.ActivePower(),
 		tracker:   metrics.NewTracker(dc.Sets(), dc.Ways()),
@@ -239,7 +232,6 @@ func newEngine(cfg Config, trace *workload.Trace, predOverride predictor.Predict
 	e.dcBlocksF = float64(dc.Config().Blocks())
 	e.icBlocksF = float64(ic.Config().Blocks())
 	e.keptIdx = make([]bool, dc.Sets()*dc.Ways())
-	e.ifetchFn = e.ifetch
 	e.blockMask = ^uint64(cfg.BlockBytes - 1)
 
 	if cfg.ICacheSRAM {
@@ -656,26 +648,25 @@ func notifyTracker(t *metrics.Tracker, res *cache.AccessResult, blockAddr, event
 	}
 }
 
-// ifetch services one instruction cache block fetch of a region
-// transition, accumulating into the scratch fields batch.go reads into the
-// branch's flush.
-func (e *engine) ifetch(blockAddr uint32) {
+// icFetch is the I-cache access of one instruction fetch that the replay
+// loop's inlined hit probes (batch.go) did not settle: a miss, a gated
+// hit, or any fetch when the I-cache has a predictor stack or a non-LRU
+// policy. event is the fetching trace event, now its start time and pc
+// its instruction's address, synced for the I-cache predictor. It reports
+// whether the fetch hit; the caller charges the fetch.
+func (e *engine) icFetch(blk uint32, event int, now float64, pc uint32) bool {
 	res := &e.icRes
-	e.ic.AccessTo(uint64(blockAddr), false, res)
+	e.ic.AccessTo(uint64(blk), false, res)
 	if e.icTracker != nil {
-		notifyTracker(e.icTracker, res, uint64(blockAddr), e.eventIdx, e.now)
-	}
-	if res.Hit {
-		e.fLat += e.ifHitLat
-		e.fDyn += e.ifHitDyn
-	} else {
-		e.fLat += e.ifMissLat
-		e.fDyn += e.ifMissDyn
-		e.fMemE += e.ifMissMemE
+		notifyTracker(e.icTracker, res, uint64(blk), uint64(event), now)
 	}
 	if e.icPred != nil {
+		e.eventIdx = uint64(event)
+		e.now = now
+		e.fetch.SetHot(pc, blk)
 		e.icPred.AfterAccess(*res)
 	}
+	return res.Hit
 }
 
 // -------------------------------------------------------- power events --

@@ -105,13 +105,15 @@ func runIdeal(ctx context.Context, cfg Config, trace *workload.Trace) (*Result, 
 // recordIdeal runs the oracle's pass 1, a baseline run whose tracker keeps
 // every closed generation's last use, and returns the pass-2 predictor.
 func recordIdeal(ctx context.Context, cfg Config, trace *workload.Trace) (*predictor.Ideal, error) {
-	// The trace recorder (if any) observes only the reported replay pass,
-	// so it is detached here — otherwise pass 2's StartRun would wipe pass
-	// 1's recording mid-Run and the summary would mix the two passes.
+	// The trace recorder and the voltage sampler (if any) observe only the
+	// reported replay pass, so both are detached here — otherwise pass 2's
+	// StartRun would wipe pass 1's recording mid-Run and the summary would
+	// mix the two passes, and the sampler would see time restart at zero.
 	passCfg := cfg
 	passCfg.Scheme = Baseline
 	passCfg.CollectZombieProfile = false
 	passCfg.Recorder = nil
+	passCfg.VoltageSampler = nil
 	e, err := newEngine(passCfg, trace, nil)
 	if err != nil {
 		return nil, err

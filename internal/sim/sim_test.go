@@ -363,36 +363,44 @@ func TestSensitivityEnergyCondition(t *testing.T) {
 	}
 }
 
+// TestVoltageSampler: the sampler sees non-decreasing timestamps across
+// both power states and never perturbs the run. Ideal's sampler observes
+// only the reported replay pass, like its Recorder; driving it from the
+// Baseline recording pass too made time restart at zero midway.
 func TestVoltageSampler(t *testing.T) {
-	cfg := testConfig(Baseline)
-	var samples int
-	lastT := -1.0
-	sawOn, sawOff := false, false
-	cfg.VoltageSampler = func(ts, v float64, on bool) {
-		samples++
-		if ts < lastT {
-			t.Fatalf("sampler time went backwards: %g < %g", ts, lastT)
-		}
-		lastT = ts
-		if v < 0 || v > cfg.Capacitor.VMax+1e-9 {
-			t.Fatalf("sampled voltage %g out of range", v)
-		}
-		if on {
-			sawOn = true
-		} else {
-			sawOff = true
-		}
-	}
-	r := run(t, cfg)
-	if samples == 0 {
-		t.Fatal("sampler never invoked")
-	}
-	if !sawOn || !sawOff {
-		t.Fatalf("sampler must see both powered and hibernating phases (on=%v off=%v)", sawOn, sawOff)
-	}
-	// The sampler must not perturb the simulation.
-	plain := run(t, testConfig(Baseline))
-	if r.WallTime != plain.WallTime || r.Energy.Total() != plain.Energy.Total() {
-		t.Fatal("voltage sampling changed the simulation")
+	for _, scheme := range []Scheme{Baseline, Ideal} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := testConfig(scheme)
+			var samples int
+			lastT := -1.0
+			sawOn, sawOff := false, false
+			cfg.VoltageSampler = func(ts, v float64, on bool) {
+				samples++
+				if ts < lastT {
+					t.Fatalf("sample %d: time went backwards: %g < %g", samples, ts, lastT)
+				}
+				lastT = ts
+				if v < 0 || v > cfg.Capacitor.VMax+1e-9 {
+					t.Fatalf("sampled voltage %g out of range", v)
+				}
+				if on {
+					sawOn = true
+				} else {
+					sawOff = true
+				}
+			}
+			r := run(t, cfg)
+			if samples == 0 {
+				t.Fatal("sampler never invoked")
+			}
+			if !sawOn || !sawOff {
+				t.Fatalf("sampler must see both powered and hibernating phases (on=%v off=%v)", sawOn, sawOff)
+			}
+			// The sampler must not perturb the simulation.
+			plain := run(t, testConfig(scheme))
+			if r.WallTime != plain.WallTime || r.Energy.Total() != plain.Energy.Total() {
+				t.Fatal("voltage sampling changed the simulation")
+			}
+		})
 	}
 }
