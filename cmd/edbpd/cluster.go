@@ -11,6 +11,7 @@ import (
 
 	"edbp/internal/cluster"
 	"edbp/internal/obs"
+	"edbp/internal/sim"
 	"edbp/internal/span"
 )
 
@@ -79,15 +80,15 @@ func (s *server) initCluster() {
 // coordinator with live workers. handled=false means the caller should
 // simulate locally: not a coordinator, or an empty fleet (ErrNoWorkers) —
 // a coordinator alone is still a working single-node edbpd.
-func (s *server) dispatch(ctx context.Context, key string, req runRequest) (out *runOutput, handled bool, err error) {
+func (s *server) dispatch(ctx context.Context, spec runSpec) (out *runOutput, handled bool, err error) {
 	if s.coord == nil {
 		return nil, false, nil
 	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(spec.knobs)
 	if err != nil {
 		return nil, true, err
 	}
-	raw, node, _, err := s.coord.Execute(ctx, key, body, nil)
+	raw, node, _, err := s.coord.Execute(ctx, spec.key, body, nil)
 	if errors.Is(err, cluster.ErrNoWorkers) {
 		return nil, false, nil
 	}
@@ -153,19 +154,19 @@ func (s *server) handleClusterNodes(w http.ResponseWriter, r *http.Request) {
 
 // gridRequest is the POST /grid body: either an explicit list of runs, or
 // a cross product of apps x schemes x seeds over a base request. Every
-// expanded cell is normalized, validated, and deduplicated by config hash
-// before dispatch.
+// expanded cell is validated and deduplicated by config hash before
+// dispatch.
 type gridRequest struct {
-	Runs    []runRequest `json:"runs,omitempty"`
-	Base    runRequest   `json:"base,omitempty"`
-	Apps    []string     `json:"apps,omitempty"`
-	Schemes []string     `json:"schemes,omitempty"`
-	Seeds   []uint64     `json:"seeds,omitempty"`
+	Runs    []sim.Knobs `json:"runs,omitempty"`
+	Base    sim.Knobs   `json:"base,omitempty"`
+	Apps    []string    `json:"apps,omitempty"`
+	Schemes []string    `json:"schemes,omitempty"`
+	Seeds   []uint64    `json:"seeds,omitempty"`
 }
 
 // expand materializes the grid cells. Cross-product axes left empty
-// default to the base request's (normalized) value.
-func (g gridRequest) expand() ([]runRequest, error) {
+// default to the base request's value.
+func (g gridRequest) expand() ([]sim.Knobs, error) {
 	if len(g.Runs) > 0 {
 		if len(g.Apps) > 0 || len(g.Schemes) > 0 || len(g.Seeds) > 0 {
 			return nil, errors.New("give either runs or a base cross product, not both")
@@ -187,7 +188,7 @@ func (g gridRequest) expand() ([]runRequest, error) {
 	if n := len(apps) * len(schemes) * len(seeds); n > maxGridEntries {
 		return nil, fmt.Errorf("grid expands to %d cells (max %d)", n, maxGridEntries)
 	}
-	out := make([]runRequest, 0, len(apps)*len(schemes)*len(seeds))
+	out := make([]sim.Knobs, 0, len(apps)*len(schemes)*len(seeds))
 	for _, app := range apps {
 		for _, scheme := range schemes {
 			for _, seed := range seeds {
@@ -215,7 +216,8 @@ func gridViewOf(g *cluster.Grid) gridView {
 }
 
 // handleGrid serves POST /grid: expand, validate, dedupe, and dispatch
-// every cell to the worker owning its config hash. The default response is
+// every cell to the worker owning its config hash. A cell sim rejects
+// makes the whole grid a 400. The default response is
 // 202 with the grid id for GET /grid/{id} and /grid/{id}/stream; ?wait=1
 // blocks until every cell is terminal and returns the full result set.
 func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
@@ -228,38 +230,37 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad grid body: %v", err)
 		return
 	}
-	reqs, err := greq.expand()
+	cells, err := greq.expand()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "%v", err)
 		return
 	}
-	if len(reqs) == 0 {
+	if len(cells) == 0 {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "empty grid")
 		return
 	}
-	if len(reqs) > maxGridEntries {
-		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "grid has %d cells (max %d)", len(reqs), maxGridEntries)
+	if len(cells) > maxGridEntries {
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "grid has %d cells (max %d)", len(cells), maxGridEntries)
 		return
 	}
-	seen := make(map[string]bool, len(reqs))
-	entries := make([]cluster.GridEntry, 0, len(reqs))
-	for i, req := range reqs {
-		req = req.normalize()
-		if _, err := req.config(); err != nil {
+	seen := make(map[string]bool, len(cells))
+	entries := make([]cluster.GridEntry, 0, len(cells))
+	for i, k := range cells {
+		spec, err := newRunSpec(k)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "cell %d: %v", i, err)
 			return
 		}
-		key := req.hash()
-		if seen[key] {
+		if seen[spec.key] {
 			continue
 		}
-		seen[key] = true
-		body, err := json.Marshal(req)
+		seen[spec.key] = true
+		body, err := json.Marshal(k)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "cell %d: %v", i, err)
 			return
 		}
-		entries = append(entries, cluster.GridEntry{Key: key, Body: body})
+		entries = append(entries, cluster.GridEntry{Key: spec.key, Body: body})
 	}
 	if s.members.AliveCount() == 0 {
 		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeNoWorkers, "no live workers — grids need a fleet (POST /cluster/join)")

@@ -226,16 +226,18 @@ func TestStreamNoRun(t *testing.T) {
 // run had started.
 func TestStreamIntervalBound(t *testing.T) {
 	_, ts := testServer(t, serverOptions{})
-	if code := doJSON(t, "POST", ts.URL+"/run", `{"app":"crc32","scheme":"baseline","scale":0.05}`, nil); code != http.StatusOK {
-		t.Fatalf("POST /run = %d, want 200", code)
+	var j jobView
+	if code := doJSON(t, "POST", ts.URL+"/run?async=1", `{"app":"crc32","scheme":"baseline","scale":0.05}`, &j); code != http.StatusAccepted {
+		t.Fatalf("POST /run?async=1 = %d, want 202", code)
 	}
+	waitForJob(t, ts.URL, j.ID)
 	for _, v := range []string{"60001", "9223372036855"} {
-		if code := doJSON(t, "GET", ts.URL+"/stream?interval_ms="+v, "", nil); code != http.StatusBadRequest {
+		if code := doJSON(t, "GET", ts.URL+"/stream?job="+j.ID+"&interval_ms="+v, "", nil); code != http.StatusBadRequest {
 			t.Errorf("GET /stream?interval_ms=%s = %d, want 400", v, code)
 		}
 	}
 	// The bound itself is accepted: the finished run's stream ends at once.
-	if code := doJSON(t, "GET", ts.URL+"/stream?interval_ms=60000", "", nil); code != http.StatusOK {
+	if code := doJSON(t, "GET", ts.URL+"/stream?job="+j.ID+"&interval_ms=60000", "", nil); code != http.StatusOK {
 		t.Errorf("GET /stream?interval_ms=60000 = %d, want 200", code)
 	}
 }

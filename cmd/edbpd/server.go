@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,10 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"edbp/internal/cache"
 	"edbp/internal/cluster"
-	"edbp/internal/energy"
-	"edbp/internal/nvm"
 	"edbp/internal/obs"
 	"edbp/internal/obs/olog"
 	"edbp/internal/sim"
@@ -28,102 +23,26 @@ import (
 	tracepkg "edbp/internal/trace"
 )
 
-// runRequest is the POST /run body. Zero-valued fields select the paper's
-// Table II defaults, mirroring cmd/edbpsim's flags.
-type runRequest struct {
-	App    string  `json:"app"`
-	Scheme string  `json:"scheme"`
-	Trace  string  `json:"trace,omitempty"`
-	Scale  float64 `json:"scale,omitempty"`
-	Seed   uint64  `json:"seed,omitempty"`
-
-	CacheBytes int     `json:"cache_bytes,omitempty"`
-	CacheWays  int     `json:"cache_ways,omitempty"`
-	Policy     string  `json:"policy,omitempty"`
-	NVM        string  `json:"nvm,omitempty"`
-	MemMB      int64   `json:"mem_mb,omitempty"`
-	CapUF      float64 `json:"cap_uf,omitempty"`
-
-	ICacheSRAM    bool `json:"icache_sram,omitempty"`
-	PredictICache bool `json:"predict_icache,omitempty"`
-	Leak80Off     bool `json:"leak80off,omitempty"`
+// runSpec is one run validated at intake: the knobs as the client sent
+// them, which a coordinator forwards to the worker it dispatches to, the
+// Config they build, and that Config's sim.ConfigHash. The hash is the
+// run's one identity: it keys the result cache, the ring owner, grid
+// dedupe and the experiment store, so every spelling of a config is one
+// run.
+type runSpec struct {
+	knobs sim.Knobs
+	cfg   sim.Config
+	key   string
 }
 
-// normalize fills defaults so equivalent requests hash identically.
-func (r runRequest) normalize() runRequest {
-	if r.Scheme == "" {
-		r.Scheme = "edbp"
-	}
-	r.Scheme = strings.ToLower(r.Scheme)
-	if r.Trace == "" {
-		r.Trace = "RFHome"
-	}
-	if r.Scale == 0 {
-		r.Scale = 1.0
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.CacheBytes == 0 {
-		r.CacheBytes = 4096
-	}
-	if r.CacheWays == 0 {
-		r.CacheWays = 4
-	}
-	if r.Policy == "" {
-		r.Policy = "LRU"
-	}
-	if r.NVM == "" {
-		r.NVM = "ReRAM"
-	}
-	if r.MemMB == 0 {
-		r.MemMB = 16
-	}
-	if r.CapUF == 0 {
-		r.CapUF = 0.47
-	}
-	return r
-}
-
-// hash keys the result cache: sha256 over the canonical (normalized) JSON
-// encoding of the request.
-func (r runRequest) hash() string {
-	b, _ := json.Marshal(r)
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// config translates the request into a sim.Config.
-func (r runRequest) config() (sim.Config, error) {
-	if r.App == "" {
-		return sim.Config{}, fmt.Errorf("missing required field %q", "app")
-	}
-	sch, err := sim.ParseScheme(r.Scheme)
+// newRunSpec builds and validates k's Config. An error is a
+// *sim.ConfigError: the client's fault, answered before anything queues.
+func newRunSpec(k sim.Knobs) (runSpec, error) {
+	cfg, err := k.Config()
 	if err != nil {
-		return sim.Config{}, err
+		return runSpec{}, err
 	}
-	cfg := sim.Default(r.App, sch)
-	cfg.Scale = r.Scale
-	cfg.SourceSeed = r.Seed
-	cfg.DCacheBytes = r.CacheBytes
-	cfg.DCacheWays = r.CacheWays
-	cfg.MemBytes = r.MemMB << 20
-	cfg.Capacitor.Capacitance = r.CapUF * 1e-6
-	cfg.ICacheSRAM = r.ICacheSRAM
-	cfg.PredictICache = r.PredictICache
-	if r.Leak80Off {
-		cfg.DCacheLeakFactor = 0.2
-	}
-	if cfg.TraceKind, err = energy.ParseTraceKind(r.Trace); err != nil {
-		return sim.Config{}, err
-	}
-	if cfg.DCachePolicy, err = cache.ParsePolicy(r.Policy); err != nil {
-		return sim.Config{}, err
-	}
-	if cfg.MemTech, err = nvm.ParseTech(r.NVM); err != nil {
-		return sim.Config{}, err
-	}
-	return cfg, nil
+	return runSpec{knobs: k, cfg: cfg, key: sim.ConfigHash(cfg)}, nil
 }
 
 // runOutput is the Result JSON returned by POST /run, GET /jobs/{id} and
@@ -163,7 +82,7 @@ type runOutput struct {
 	Node string `json:"node,omitempty"`
 }
 
-func output(req runRequest, res *sim.Result) *runOutput {
+func output(res *sim.Result) *runOutput {
 	e := res.Energy
 	return &runOutput{
 		App:            res.Config.App,
@@ -208,7 +127,7 @@ type job struct {
 	Result *runOutput `json:"result,omitempty"`
 	Error  string     `json:"error,omitempty"`
 	Code   string     `json:"code,omitempty"` // error code of a failed job
-	req    runRequest
+	spec   runSpec
 	mu     sync.Mutex
 	done   chan struct{}
 
@@ -227,12 +146,12 @@ type job struct {
 	live     *liveRun
 }
 
-// newJob makes a queued job for req whose run is bounded by ctx.
-func (s *server) newJob(ctx context.Context, req runRequest, parent span.Context) *job {
+// newJob makes a queued job for spec whose run is bounded by ctx.
+func (s *server) newJob(ctx context.Context, spec runSpec, parent span.Context) *job {
 	return &job{
 		ID:         fmt.Sprintf("job-%d", s.nextID.Add(1)),
 		Status:     "queued",
-		req:        req,
+		spec:       spec,
 		done:       make(chan struct{}),
 		ctx:        ctx,
 		enqueuedAt: time.Now(),
@@ -361,7 +280,7 @@ type server struct {
 	opts  serverOptions
 	mux   *http.ServeMux
 	jobs  sync.Map // id -> *job
-	cache sync.Map // request hash -> *runOutput (completed runs only)
+	cache sync.Map // sim.ConfigHash -> *runOutput (completed runs only)
 
 	queueMu  sync.RWMutex // guards queue against close-during-send
 	queue    chan *job
@@ -373,10 +292,6 @@ type server struct {
 	// pre-resolved instrument set over it (nil = observation disabled).
 	reg *obs.Registry
 	met *serverMetrics
-
-	// lastLive points at the most recently started run's live view; the
-	// SSE stream falls back to it when no job id is given.
-	lastLive atomic.Pointer[liveRun]
 
 	// spans records service spans for GET /trace (nil = disabled);
 	// log is never nil (olog.Nop when unconfigured).
@@ -538,7 +453,7 @@ func (s *server) worker() {
 		if j.parent.Valid() {
 			ctx = span.With(ctx, j.parent)
 		}
-		out, err := s.run(ctx, j.req, j)
+		out, err := s.run(ctx, j.spec, j)
 		cancel()
 		j.finish(out, err)
 		if err != nil {
@@ -556,11 +471,11 @@ func (s *server) worker() {
 // memoization underneath sim.RunContext. j, when non-nil, is the queued job
 // this run belongs to: its live view is attached for GET /stream and the
 // run stream.
-func (s *server) run(ctx context.Context, req runRequest, j *job) (out *runOutput, err error) {
-	key := req.hash()
+func (s *server) run(ctx context.Context, spec runSpec, j *job) (out *runOutput, err error) {
+	key, cfg := spec.key, spec.cfg
 	rs := s.spans.Start(span.FromCtx(ctx), "run")
 	if rs != nil {
-		rs.Attr("app", req.App).Attr("scheme", req.Scheme).Attr("key", key[:12])
+		rs.Attr("app", cfg.App).Attr("scheme", cfg.Scheme.String()).Attr("key", key[:12])
 		ctx = span.With(ctx, rs.Ctx())
 		defer func() {
 			rs.Fail(err)
@@ -581,19 +496,15 @@ func (s *server) run(ctx context.Context, req runRequest, j *job) (out *runOutpu
 		return &hit, nil
 	}
 	s.met.observeCache(false)
-	if out, handled, err := s.dispatch(ctx, key, req); handled {
+	if out, handled, err := s.dispatch(ctx, spec); handled {
 		if err != nil {
 			return nil, err
 		}
 		s.cache.Store(key, out)
 		return out, nil
 	}
-	cfg, err := req.config()
-	if err != nil {
-		return nil, err
-	}
 	rec := tracepkg.NewRecorder(tracepkg.Options{
-		Label:    fmt.Sprintf("%s/%s/%s", req.App, cfg.Scheme, cfg.TraceKind),
+		Label:    fmt.Sprintf("%s/%s/%s", cfg.App, cfg.Scheme, cfg.TraceKind),
 		EventCap: 4096,
 		// The rings keep a bounded recent window (overwrites are counted
 		// into edbpd_trace_dropped_total); the dense cadence feeds the
@@ -604,7 +515,6 @@ func (s *server) run(ctx context.Context, req runRequest, j *job) (out *runOutpu
 	cfg.Recorder = rec
 	lr := &liveRun{label: rec.Options().Label, rec: rec, done: make(chan struct{})}
 	defer close(lr.done)
-	s.lastLive.Store(lr)
 	if j != nil {
 		j.live = lr
 		close(j.attached)
@@ -620,9 +530,9 @@ func (s *server) run(ctx context.Context, req runRequest, j *job) (out *runOutpu
 		s.met.observeRunError()
 		return nil, err
 	}
-	s.met.observeRun(req.App, cfg.Scheme.String(), res, time.Since(start).Seconds())
+	s.met.observeRun(cfg.App, cfg.Scheme.String(), res, time.Since(start).Seconds())
 	s.persist(rs.Ctx(), cfg, res)
-	out = output(req, res)
+	out = output(res)
 	s.cache.Store(key, out)
 	return out, nil
 }
@@ -746,34 +656,36 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleRun serves POST /run. The default is synchronous: the simulation
-// runs under the request's context plus the per-run timeout and the Result
-// JSON is the response. With ?async=1 the job enters the bounded queue and
-// the response is 202 with the job id for GET /jobs/{id}. With ?stream=1
-// the job enters the same queue and the response streams it (streamRun).
+// handleRun serves POST /run. The body is a sim.Knobs, and a config sim
+// rejects is a 400 before anything queues. The default is synchronous:
+// the simulation runs under the request's context plus the per-run
+// timeout and the Result JSON is the response. With ?async=1 the job
+// enters the bounded queue and the response is 202 with the job id for
+// GET /jobs/{id}. With ?stream=1 the job enters the same queue and the
+// response streams it (streamRun).
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeDraining, "draining")
 		return
 	}
-	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var k sim.Knobs
+	if err := json.NewDecoder(r.Body).Decode(&k); err != nil {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad request body: %v", err)
 		return
 	}
-	req = req.normalize()
-	if _, err := req.config(); err != nil {
+	spec, err := newRunSpec(k)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "%v", err)
 		return
 	}
 
 	q := r.URL.Query()
 	if q.Get("stream") != "" {
-		s.streamRun(w, r, req)
+		s.streamRun(w, r, spec)
 		return
 	}
 	if q.Get("async") != "" {
-		j := s.newJob(context.Background(), req, span.FromCtx(r.Context()))
+		j := s.newJob(context.Background(), spec, span.FromCtx(r.Context()))
 		if s.enqueue(w, j) {
 			writeJSON(w, http.StatusAccepted, j.snapshot())
 		}
@@ -782,7 +694,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.runTimeout)
 	defer cancel()
-	out, err := s.run(ctx, req, nil)
+	out, err := s.run(ctx, spec, nil)
 	if err != nil {
 		code := runErrorCode(err)
 		status := http.StatusInternalServerError
@@ -811,14 +723,14 @@ const runStreamInterval = 25 * time.Millisecond
 // JSON. The run belongs to the request: when the client leaves, a queued
 // job is never started and a running one is canceled. The job stays in
 // s.jobs, where a drain abort finds it, only until its stream ends.
-func (s *server) streamRun(w http.ResponseWriter, r *http.Request, req runRequest) {
+func (s *server) streamRun(w http.ResponseWriter, r *http.Request, spec runSpec) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "streaming unsupported")
 		return
 	}
 	ctx := r.Context()
-	j := s.newJob(ctx, req, span.FromCtx(ctx))
+	j := s.newJob(ctx, spec, span.FromCtx(ctx))
 	if !s.enqueue(w, j) {
 		return
 	}
@@ -1029,14 +941,14 @@ type gaugeFrame struct {
 // time.Duration into a negative ticker interval.
 const maxStreamInterval = time.Minute
 
-// handleStream serves GET /stream: a Server-Sent Events feed of sampled
-// gauges (capacitor voltage and stored energy, live/gated/dirty block
-// counts, EDBP level, FPR, zombie ratio) read from an in-flight run's
-// trace.Recorder via its race-safe live gauge. ?job=<id> follows a
-// specific async job (waiting for it to start); without it the most
-// recently started run is streamed. ?interval_ms tunes the poll cadence
-// (default 100, at most maxStreamInterval). Each new sample is one "gauge"
-// event; a final "done" event closes the stream when the run finishes.
+// handleStream serves GET /stream?job=<id>: a Server-Sent Events feed of
+// sampled gauges (capacitor voltage and stored energy, live/gated/dirty
+// block counts, EDBP level, FPR, zombie ratio) read from the job's
+// trace.Recorder via its race-safe live gauge, waiting for the job to
+// start. An unknown or missing job is a 404. ?interval_ms tunes the poll
+// cadence (default 100, at most maxStreamInterval). Each new sample is one
+// "gauge" event; a final "done" event closes the stream when the run
+// finishes.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -1054,24 +966,17 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 		interval = time.Duration(ms) * time.Millisecond
 	}
 
-	var lr *liveRun
-	if id := r.URL.Query().Get("job"); id != "" {
-		v, ok := s.jobs.Load(id)
-		if !ok {
-			httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown job %q", id)
-			return
-		}
-		// A job that finishes without a live run (cache hit, config
-		// error) yields an empty stream.
-		if lr = v.(*job).awaitLive(r.Context()); r.Context().Err() != nil {
-			return
-		}
-	} else {
-		lr = s.lastLive.Load()
-		if lr == nil {
-			httpError(w, http.StatusNotFound, cluster.CodeNotFound, "no run in flight — start one with POST /run")
-			return
-		}
+	id := r.URL.Query().Get("job")
+	v, ok := s.jobs.Load(id)
+	if !ok {
+		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown job %q (follow a queued run with ?job=<id>)", id)
+		return
+	}
+	// A job that finishes without a live run (cache hit, failure) yields
+	// an empty stream.
+	lr := v.(*job).awaitLive(r.Context())
+	if r.Context().Err() != nil {
+		return
 	}
 
 	startSSE(w, fl)

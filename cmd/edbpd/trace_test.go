@@ -225,8 +225,8 @@ func TestClusterAssembledTrace(t *testing.T) {
 	joinWorker(t, coord, "w2", survivor.ts.URL)
 
 	victimOwns := 0
-	for _, req := range gridRequests() {
-		if owner, ok := coord.srv.members.Owner(req.hash(), nil); ok && owner.ID == "w1" {
+	for _, req := range gridRequests(t) {
+		if owner, ok := coord.srv.members.Owner(req.key, nil); ok && owner.ID == "w1" {
 			victimOwns++
 		}
 	}
