@@ -40,12 +40,19 @@ const maxWays = 256
 // live in one uint32.
 const maxPLRUWays = 32
 
+// maxSizeBytes bounds the capacity: New allocates one Block per block, so
+// a size from outside the program must not be able to ask for gigabytes.
+// It is 64× the largest cache any figure uses (16 KiB).
+const maxSizeBytes = 1 << 20
+
 // Validate reports configuration errors. New builds every configuration
 // it accepts.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.SizeBytes&(c.SizeBytes-1) != 0:
 		return fmt.Errorf("cache: size must be a positive power of two, got %d", c.SizeBytes)
+	case c.SizeBytes > maxSizeBytes:
+		return fmt.Errorf("cache: size %d exceeds %d bytes", c.SizeBytes, maxSizeBytes)
 	case c.BlockBytes <= 0 || c.BlockBytes&(c.BlockBytes-1) != 0:
 		return fmt.Errorf("cache: block size must be a positive power of two, got %d", c.BlockBytes)
 	case c.Ways <= 0:

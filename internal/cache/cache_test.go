@@ -30,6 +30,8 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 4096, BlockBytes: 16, Ways: 3},    // 85.33 sets
 		{SizeBytes: 16384, BlockBytes: 16, Ways: 512}, // past uint8 way indices
 		{SizeBytes: 4096, BlockBytes: 16, Ways: 4, Policy: PolicyKind(99)},
+		{SizeBytes: 2 << 20, BlockBytes: 16, Ways: 4}, // past the 1 MiB bound
+		{SizeBytes: 8 << 30, BlockBytes: 16, Ways: 4}, // 512M blocks
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -41,6 +43,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{SizeBytes: 16384, BlockBytes: 16, Ways: 256}).Validate(); err != nil {
 		t.Errorf("256-way cache rejected: %v", err)
+	}
+	if err := (Config{SizeBytes: 1 << 20, BlockBytes: 16, Ways: 4}).Validate(); err != nil {
+		t.Errorf("1 MiB cache rejected: %v", err)
 	}
 	if got := defaultConfig().Sets(); got != 64 {
 		t.Errorf("Sets() = %d, want 64", got)

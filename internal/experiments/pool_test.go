@@ -63,8 +63,8 @@ func TestRunAllBoundedGoroutines(t *testing.T) {
 // all reported (errors.Join), not just the first.
 func TestRunAllErrorIdentifiesJob(t *testing.T) {
 	ts := poolTraceSet(t, 1)
-	// Unknown apps are not in ts.traces, so sim.RunContext records them
-	// lazily and fails in workload.Cached.
+	// Unknown apps are not in ts.traces, so sim.RunContext gets the name
+	// and rejects it.
 	jobs := []job{
 		{app: "no-such-app", seed: 7, scheme: sim.EDBP},
 	}

@@ -394,8 +394,14 @@ func (c Config) normalize() (Config, error) {
 	if c.MemBytes < 0 {
 		return c, cfgErrf("MemBytes", "must be positive, got %d", c.MemBytes)
 	}
-	if c.Trace == nil && c.App == "" {
-		return c, cfgErrf("App", "config needs App or Trace")
+	if c.Trace == nil {
+		// An unknown App is rejected here, before workload.Cached sees it.
+		if c.App == "" {
+			return c, cfgErrf("App", "config needs App or Trace")
+		}
+		if _, err := workload.ByName(c.App); err != nil {
+			return c, &ConfigError{Field: "App", Err: err}
+		}
 	}
 	if c.Trace != nil && len(c.Trace.Events) == 0 {
 		return c, cfgErrf("Trace", "trace %q has no events; a workload trace must contain at least one op", c.Trace.Name)

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"edbp/internal/cache"
+	"edbp/internal/core"
+	"edbp/internal/predictor"
 	"edbp/internal/workload"
 )
 
@@ -39,6 +41,17 @@ func TestConfigRejections(t *testing.T) {
 		{"512-way instruction cache", func(c *Config) { c.ICacheBytes = 16384; c.ICacheWays = 512 }, "ICacheWays"},
 		{"empty trace", func(c *Config) { c.Trace = emptyTrace }, "Trace"},
 		{"no app and no trace", func(c *Config) { c.App = "" }, "App"},
+		{"unknown app", func(c *Config) { c.App = "nope" }, "App"},
+		{"EDBP thresholds for 4 ways on an 8-way cache", func(c *Config) {
+			e := core.DefaultConfig(4, c.Monitor.VCkpt, c.Monitor.VRst)
+			c.DCacheWays, c.EDBPCfg = 8, &e
+		}, "EDBPCfg"},
+		{"zero decay interval", func(c *Config) {
+			d := predictor.DefaultDecay()
+			d.Interval = 0
+			c.Scheme, c.DecayCfg = Decay, &d
+		}, "DecayCfg"},
+		{"2 MiB data cache", func(c *Config) { c.DCacheBytes = 2 << 20 }, "DCacheBytes"},
 		{"negative scale", func(c *Config) { c.Scale = -1 }, "Scale"},
 		{"NaN scale", func(c *Config) { c.Scale = math.NaN() }, "Scale"},
 		{"negative horizon", func(c *Config) { c.MaxSimTime = -5 }, "MaxSimTime"},

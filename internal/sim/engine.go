@@ -419,26 +419,40 @@ func collectVoltageClass(p predictor.Predictor, ladders *[]predictor.VoltageLadd
 // buildPredictor constructs the scheme's predictor stack for a cache of
 // the given associativity.
 func buildPredictor(cfg Config, ways int) (predictor.Predictor, error) {
+	// A predictor sub-config the constructor rejects is the caller's
+	// invalid Config, named by its field.
 	newDecay := func() (predictor.Predictor, error) {
 		dcfg := predictor.DefaultDecay()
 		if cfg.DecayCfg != nil {
 			dcfg = *cfg.DecayCfg
 		}
-		return predictor.NewDecay(dcfg)
+		p, err := predictor.NewDecay(dcfg)
+		if err != nil {
+			return nil, &ConfigError{Field: "DecayCfg", Err: err}
+		}
+		return p, nil
 	}
 	newAMC := func() (predictor.Predictor, error) {
 		acfg := predictor.DefaultAMC()
 		if cfg.AMCCfg != nil {
 			acfg = *cfg.AMCCfg
 		}
-		return predictor.NewAMC(acfg)
+		p, err := predictor.NewAMC(acfg)
+		if err != nil {
+			return nil, &ConfigError{Field: "AMCCfg", Err: err}
+		}
+		return p, nil
 	}
 	newEDBP := func() (predictor.Predictor, error) {
 		ecfg := core.DefaultConfig(ways, cfg.Monitor.VCkpt, cfg.Monitor.VRst)
 		if cfg.EDBPCfg != nil {
 			ecfg = *cfg.EDBPCfg
 		}
-		return core.New(ecfg, ways)
+		p, err := core.New(ecfg, ways)
+		if err != nil {
+			return nil, &ConfigError{Field: "EDBPCfg", Err: err}
+		}
+		return p, nil
 	}
 	newCounting := func() (predictor.Predictor, error) {
 		return predictor.NewCounting(predictor.DefaultCounting())
@@ -465,7 +479,11 @@ func buildPredictor(cfg Config, ways int) (predictor.Predictor, error) {
 		if cfg.SDBPCfg != nil {
 			scfg = *cfg.SDBPCfg
 		}
-		return predictor.NewSDBP(scfg)
+		p, err := predictor.NewSDBP(scfg)
+		if err != nil {
+			return nil, &ConfigError{Field: "SDBPCfg", Err: err}
+		}
+		return p, nil
 	case Decay:
 		return newDecay()
 	case AMC:

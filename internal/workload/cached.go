@@ -15,7 +15,6 @@ type traceKey struct {
 type traceEntry struct {
 	once sync.Once
 	tr   *Trace
-	err  error
 }
 
 var traceCache sync.Map // traceKey -> *traceEntry
@@ -26,24 +25,23 @@ var traceCache sync.Map // traceKey -> *traceEntry
 // any number of concurrent runs. Recording is the expensive part — the
 // kernel actually executes and journals every memory access — and an
 // experiment grid replays the same (app, scale) across schemes × seeds ×
-// workers, so sharing it pays the cost exactly once.
+// workers, so sharing it pays the cost exactly once. An unknown name is
+// an error and leaves no entry behind.
 func Cached(name string, scale float64) (*Trace, error) {
+	app, err := ByName(name)
+	if err != nil {
+		return nil, err
+	}
 	if scale <= 0 {
 		scale = 1
 	}
-	key := traceKey{name: name, scale: scale}
-	v, _ := traceCache.LoadOrStore(key, &traceEntry{})
+	v, _ := traceCache.LoadOrStore(traceKey{name: name, scale: scale}, &traceEntry{})
 	e := v.(*traceEntry)
 	e.once.Do(func() {
-		app, err := ByName(name)
-		if err != nil {
-			e.err = err
-			return
-		}
 		e.tr = app.Record(scale)
 		// Pre-build the columnar replay view while we are off any hot
 		// path; every engine run over this trace reads it.
 		e.tr.Columns()
 	})
-	return e.tr, e.err
+	return e.tr, nil
 }

@@ -62,13 +62,16 @@ func TestCachedConcurrent(t *testing.T) {
 	}
 }
 
-// TestCachedUnknownApp propagates ByName's error without caching panic.
+// TestCachedUnknownApp propagates ByName's error, stably on re-lookup,
+// and keeps no entry for the unknown name.
 func TestCachedUnknownApp(t *testing.T) {
 	if _, err := Cached("no-such-kernel", 1); err == nil {
 		t.Fatal("expected an error for an unknown app")
 	}
-	// The error must be stable on re-lookup too.
 	if _, err := Cached("no-such-kernel", 1); err == nil {
-		t.Fatal("expected the cached error on the second lookup")
+		t.Fatal("expected the error on the second lookup too")
+	}
+	if _, kept := traceCache.Load(traceKey{name: "no-such-kernel", scale: 1}); kept {
+		t.Error("an unknown app left an entry in the trace cache")
 	}
 }
