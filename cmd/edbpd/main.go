@@ -7,9 +7,12 @@
 //
 // Endpoints:
 //
-//	POST /run        run one simulation synchronously; the body is a JSON
-//	                 config ({"app":"crc32","scheme":"edbp",...}), the
-//	                 response the Result JSON. With ?async=1 the job enters
+//	POST /run        run one simulation synchronously; the body is a
+//	                 sim.Knobs JSON ({"app":"crc32","scheme":"edbp",...}),
+//	                 validated before anything queues (a config sim rejects
+//	                 is a 400 on every path), the response the Result JSON.
+//	                 Runs are cached by sim.ConfigHash, so every spelling
+//	                 of a config is one run. With ?async=1 the job enters
 //	                 a bounded queue and the response is 202 + a job id.
 //	                 With ?stream=1 the job enters the same queue and the
 //	                 response is Server-Sent Events: the run's "gauge"
@@ -23,9 +26,10 @@
 //	                 0.0.4 (counters, gauges, run/queue histograms, trace
 //	                 event and ring-drop aggregates); ?format=json returns
 //	                 the JSON snapshot.
-//	GET  /stream     Server-Sent Events feed of sampled gauges (capacitor
-//	                 voltage, live/gated/dirty blocks, FPR, zombie ratio)
-//	                 from an in-flight run; ?job=<id> follows an async job.
+//	GET  /stream     ?job=<id>: Server-Sent Events feed of sampled gauges
+//	                 (capacitor voltage, live/gated/dirty blocks, FPR,
+//	                 zombie ratio) from an async job's run; 404 without a
+//	                 known job id.
 //	GET  /runs       stored runs from the experiment store (-store): filters
 //	                 app/scheme/seed/commit/config_hash, latest=1, limit=N;
 //	                 format=raw returns a run's stored encoding byte for
@@ -67,10 +71,10 @@
 //	GET  /cluster/nodes      every registered worker with liveness state
 //	POST /grid               a sharded experiment grid: cells (explicit
 //	                         runs, or base x apps x schemes x seeds) are
-//	                         deduplicated by config hash and dispatched to
-//	                         the worker owning each hash on a consistent
-//	                         ring; 202 + grid id, or the full result set
-//	                         with ?wait=1
+//	                         validated (one bad cell is a 400), deduplicated
+//	                         by sim.ConfigHash and dispatched to the worker
+//	                         owning each hash on a consistent ring; 202 +
+//	                         grid id, or the full result set with ?wait=1
 //	GET  /grid/{id}          grid summary + per-cell status
 //	GET  /grid/{id}/stream   fan-in SSE: relayed worker gauges wrapped
 //	                         {node,key,gauge}, per-cell "entry" events, a
