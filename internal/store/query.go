@@ -11,15 +11,13 @@ import (
 	"strconv"
 	"strings"
 
-	"edbp/internal/benchfmt"
 	"edbp/internal/experiments"
 	"edbp/internal/fuzz"
 	"edbp/internal/sim"
 )
 
 // Metric is one queryable per-run quantity. LowerIsBetter drives the
-// direction-aware regression flagging of delta queries (shared with
-// internal/benchfmt's bench-metric semantics via benchfmt.Delta.Mark).
+// direction-aware regression flagging of delta queries (Delta.Mark).
 type Metric struct {
 	Name          string
 	Help          string
@@ -318,6 +316,32 @@ func (s *Store) execAgg(q *Query) (*experiments.Table, error) {
 	return t, nil
 }
 
+// Delta is one scheme's old→new comparison in a delta query.
+type Delta struct {
+	Old, New float64
+	// Pct is the signed relative change (new-old)/old; +0.20 means the
+	// metric grew 20%.
+	Pct float64
+	// Regression is true when the change is in the bad direction by more
+	// than the threshold.
+	Regression bool
+}
+
+// Mark fills Pct and Regression from Old/New: the signed relative change,
+// flagged when it moves in the bad direction by more than threshold. A
+// zero Old never flags.
+func (d *Delta) Mark(lowerIsBetter bool, threshold float64) {
+	d.Pct = 0
+	if d.Old != 0 {
+		d.Pct = (d.New - d.Old) / d.Old
+	}
+	bad := d.Pct
+	if !lowerIsBetter {
+		bad = -bad
+	}
+	d.Regression = d.Old != 0 && bad > threshold
+}
+
 func (s *Store) execDelta(q *Query) (*experiments.Table, error) {
 	m, err := MetricByName(q.Metric)
 	if err != nil {
@@ -370,10 +394,7 @@ func (s *Store) execDelta(q *Query) (*experiments.Table, error) {
 	}
 	regressions := 0
 	for _, n := range names {
-		// benchfmt's Delta carries the shared regression semantics: signed
-		// relative change, flagged against the threshold in the metric's
-		// bad direction.
-		d := benchfmt.Delta{Scheme: n, Old: oldM[n].Mean(), New: newM[n].Mean()}
+		d := Delta{Old: oldM[n].Mean(), New: newM[n].Mean()}
 		d.Mark(m.LowerIsBetter, q.Threshold)
 		verdict := "ok"
 		if d.Regression {
