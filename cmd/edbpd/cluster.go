@@ -216,17 +216,20 @@ func gridViewOf(g *cluster.Grid) gridView {
 }
 
 // handleGrid serves POST /grid: expand, validate, dedupe, and dispatch
-// every cell to the worker owning its config hash. A cell sim rejects
-// makes the whole grid a 400. The default response is
-// 202 with the grid id for GET /grid/{id} and /grid/{id}/stream; ?wait=1
-// blocks until every cell is terminal and returns the full result set.
+// every cell to the worker owning its config hash. An unknown key, at the
+// top level or in a cell, or a cell sim rejects makes the whole grid a
+// 400. The default response is 202 with the grid id for GET /grid/{id}
+// and /grid/{id}/stream; ?wait=1 blocks until every cell is terminal and
+// returns the full result set.
 func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeDraining, "draining")
 		return
 	}
 	var greq gridRequest
-	if err := json.NewDecoder(r.Body).Decode(&greq); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&greq); err != nil {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad grid body: %v", err)
 		return
 	}

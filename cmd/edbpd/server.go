@@ -656,7 +656,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleRun serves POST /run. The body is a sim.Knobs, and a config sim
+// handleRun serves POST /run. The body is a sim.Knobs; an unknown key (a
+// misspelled knob would otherwise take its default) or a config sim
 // rejects is a 400 before anything queues. The default is synchronous:
 // the simulation runs under the request's context plus the per-run
 // timeout and the Result JSON is the response. With ?async=1 the job
@@ -669,7 +670,9 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var k sim.Knobs
-	if err := json.NewDecoder(r.Body).Decode(&k); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&k); err != nil {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -273,7 +273,8 @@ func RunContext(ctx context.Context, c Config) (*Result, error) {
 }
 
 // RunAll executes one app under several schemes against the identical
-// recorded trace, returning results in scheme order.
+// recorded trace (the simulator records each app and scale once per
+// process), returning results in scheme order.
 func RunAll(c Config, schemes ...Scheme) ([]*Result, error) {
 	return RunAllContext(context.Background(), c, schemes...)
 }
@@ -286,10 +287,6 @@ func RunAllContext(ctx context.Context, c Config, schemes ...Scheme) ([]*Result,
 		return nil, fmt.Errorf("edbp: RunAll needs at least one scheme")
 	}
 	cfg, err := c.internal()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Trace, err = workload.Cached(cfg.App, cfg.Scale)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package edbp
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestApps(t *testing.T) {
 	apps := Apps()
@@ -57,6 +60,15 @@ func TestRunAllSharesTrace(t *testing.T) {
 func TestRunAllNeedsSchemes(t *testing.T) {
 	if _, err := RunAll(Config{App: "sha"}); err == nil {
 		t.Fatal("empty scheme list accepted")
+	}
+}
+
+// TestRunAllRejectsBeforeRecording: RunAll validates like Run before it
+// records the kernel (crc32 at scale 256 would take about 8 GB).
+func TestRunAllRejectsBeforeRecording(t *testing.T) {
+	_, err := RunAll(Config{App: "crc32", Scale: 256}, Baseline, EDBP)
+	if err == nil || !strings.Contains(err.Error(), "Scale") {
+		t.Fatalf("RunAll at scale 256: %v, want a Scale config error", err)
 	}
 }
 

@@ -234,10 +234,16 @@ type Config struct {
 	// whenever the energy banked at the last check may be spent. 0 means
 	// DefaultBatchCap (4096); 1 degenerates to a check per flush. The cap
 	// does not affect results — a skipped check is one the energy bound
-	// proves would have passed — only the check amortization, which
-	// cmd/bench -batch-cap sweeps document.
+	// proves would have passed — only the check amortization (the golden
+	// Result corpus pins caps 1, 3, 64 and 2^20).
 	BatchCap int
 }
+
+// maxScale bounds Config.Scale. A kernel's recording grows linearly with
+// its scale (crc32 at 1 records 800k events and allocates 34 MB) and
+// workload.Cached keeps every recorded scale, so normalize rejects a
+// larger scale before anything is recorded.
+const maxScale = 4
 
 // DefaultBatchCap is the default upper bound on flushes per batch. It
 // matches the cancellation poll cadence (cancelPollMask+1), so batching
@@ -305,6 +311,9 @@ func cfgErrf(field, format string, args ...any) *ConfigError {
 func (c Config) normalize() (Config, error) {
 	if math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) || c.Scale < 0 {
 		return c, cfgErrf("Scale", "must be a finite non-negative factor, got %g", c.Scale)
+	}
+	if c.Scale > maxScale {
+		return c, cfgErrf("Scale", "must be at most %g (1 is the evaluation size), got %g", float64(maxScale), c.Scale)
 	}
 	if c.Scale == 0 {
 		c.Scale = 1.0

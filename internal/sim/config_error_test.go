@@ -54,6 +54,7 @@ func TestConfigRejections(t *testing.T) {
 		{"2 MiB data cache", func(c *Config) { c.DCacheBytes = 2 << 20 }, "DCacheBytes"},
 		{"negative scale", func(c *Config) { c.Scale = -1 }, "Scale"},
 		{"NaN scale", func(c *Config) { c.Scale = math.NaN() }, "Scale"},
+		{"scale past the bound", func(c *Config) { c.Scale = 256 }, "Scale"},
 		{"negative horizon", func(c *Config) { c.MaxSimTime = -5 }, "MaxSimTime"},
 		{"NaN horizon", func(c *Config) { c.MaxSimTime = math.NaN() }, "MaxSimTime"},
 		{"negative batch cap", func(c *Config) { c.BatchCap = -1 }, "BatchCap"},
