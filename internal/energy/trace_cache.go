@@ -9,26 +9,18 @@ type traceCacheKey struct {
 	seed uint64
 }
 
-// traceCacheEntry generates its trace exactly once, even under concurrent
-// first lookups from parallel experiment workers.
-type traceCacheEntry struct {
-	once sync.Once
-	tr   *Trace
-}
+var traceCache sync.Map // traceCacheKey -> *Trace
 
-var traceCache sync.Map // traceCacheKey -> *traceCacheEntry
-
-// CachedTrace returns the trace for (kind, seed), generating it at most
-// once per process. A Trace is immutable after generation (Power and
-// Cursor only read the sample array), so the shared pointer is safe to use
-// from any number of concurrent simulation runs. Generating a trace means
-// synthesizing tracePeriod/TraceResolution (100k) Markov-modulated
-// samples, which is worth sharing across the schemes × seeds × workers of
-// an experiment grid.
+// CachedTrace returns the trace for (kind, seed), one per process. A Trace
+// generates its samples on demand, chunk by chunk, each at most once, and
+// its reads are safe from any number of concurrent simulation runs, so
+// sharing it means the schemes × seeds × workers of an experiment grid
+// generate only the part of the period their runs reach, once.
 func CachedTrace(kind TraceKind, seed uint64) *Trace {
 	key := traceCacheKey{kind: kind, seed: seed}
-	v, _ := traceCache.LoadOrStore(key, &traceCacheEntry{})
-	e := v.(*traceCacheEntry)
-	e.once.Do(func() { e.tr = NewTrace(kind, seed) })
-	return e.tr
+	if v, ok := traceCache.Load(key); ok {
+		return v.(*Trace)
+	}
+	v, _ := traceCache.LoadOrStore(key, NewTrace(kind, seed))
+	return v.(*Trace)
 }
