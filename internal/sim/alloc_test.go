@@ -13,7 +13,10 @@ import (
 // TestBatchedSteadyStateZeroAllocs asserts the replay loop's zero-alloc
 // contract: a steady-state window — hot-state hoist, inlined cache probes,
 // flush arithmetic, settle — allocates nothing, with and without a trace
-// recorder attached (the recorder's rings are preallocated). The windows
+// recorder attached. The recorder's rings double as they fill, a few
+// times over the measured windows, which AllocsPerRun's whole-number mean
+// per window reads as 0; rings at their caps record with no allocation at
+// all (internal/trace's TestFullRingsRecordWithoutAllocating). The windows
 // advance through the real recorded trace, so region transitions and tick
 // chunks are exercised, not just memory events. The Ideal rows measure the
 // oracle's replay pass, whose windows also run its scheduled gates.

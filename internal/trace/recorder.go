@@ -23,14 +23,14 @@ type Recorder struct {
 	opt Options
 	now float64
 
-	events  []Event // ring, preallocated to opt.EventCap
-	eHead   int     // next write slot
+	events  []Event // ring, grown by doubling up to opt.EventCap
+	eHead   int     // next write slot; at len(events) the ring grows or wraps first
 	eCount  int     // retained (≤ len(events))
 	emitted uint64
 	dropped uint64
 	byKind  [kindCount]uint64
 
-	samples    []Sample // ring, preallocated to opt.SampleCap
+	samples    []Sample // ring, grown by doubling up to opt.SampleCap
 	sHead      int
 	sCount     int
 	sTaken     uint64
@@ -109,15 +109,24 @@ func (l *liveGauge) read() (Sample, uint64) {
 	}
 }
 
-// NewRecorder builds a recorder; both rings are allocated up front so
-// recording is allocation-free in steady state.
+// NewRecorder builds a recorder. Both rings start empty and double as a
+// run fills them, up to Options.EventCap and Options.SampleCap, so a run
+// allocates about what it emits; a ring at its cap overwrites its oldest
+// entry and records without allocating. StartRun keeps the grown rings.
 func NewRecorder(opt Options) *Recorder {
-	opt = opt.normalized()
-	return &Recorder{
-		opt:     opt,
-		events:  make([]Event, opt.EventCap),
-		samples: make([]Sample, opt.SampleCap),
-	}
+	return &Recorder{opt: opt.normalized()}
+}
+
+// minRing is the first size of a grown ring.
+const minRing = 16
+
+// growRing returns ring doubled (at least minRing long, at most limit),
+// holding ring's entries at the same indices. The rings grow only while
+// they have never wrapped, so their entries are in order from index 0.
+func growRing[T any](ring []T, limit int) []T {
+	grown := make([]T, min(max(2*len(ring), minRing), limit))
+	copy(grown, ring)
+	return grown
 }
 
 // Options returns the normalized options in force.
@@ -155,6 +164,13 @@ func (r *Recorder) SetNow(t float64) { r.now = t }
 func (r *Recorder) emit(k Kind, a, b int32, v float64) {
 	r.byKind[k]++
 	r.emitted++
+	if r.eHead == len(r.events) {
+		if len(r.events) < r.opt.EventCap {
+			r.events = growRing(r.events, r.opt.EventCap)
+		} else {
+			r.eHead = 0
+		}
+	}
 	ev := &r.events[r.eHead]
 	ev.Time = r.now
 	ev.V = v
@@ -162,9 +178,6 @@ func (r *Recorder) emit(k Kind, a, b int32, v float64) {
 	ev.A, ev.B = a, b
 	ev.Kind = k
 	r.eHead++
-	if r.eHead == len(r.events) {
-		r.eHead = 0
-	}
 	if r.eCount < len(r.events) {
 		r.eCount++
 	} else {
@@ -181,11 +194,15 @@ func (r *Recorder) AddSample(s Sample) {
 	s.Cycle = r.cycleIdx
 	r.nextSample = s.Time + r.opt.SampleEvery
 	r.sTaken++
+	if r.sHead == len(r.samples) {
+		if len(r.samples) < r.opt.SampleCap {
+			r.samples = growRing(r.samples, r.opt.SampleCap)
+		} else {
+			r.sHead = 0
+		}
+	}
 	r.samples[r.sHead] = s
 	r.sHead++
-	if r.sHead == len(r.samples) {
-		r.sHead = 0
-	}
 	if r.sCount < len(r.samples) {
 		r.sCount++
 	} else {

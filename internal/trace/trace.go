@@ -12,7 +12,7 @@
 //   - Events: discrete occurrences (power-cycle boundaries, JIT trigger,
 //     checkpoint, outage, restore, EDBP gating-level changes, per-block
 //     gating, wrong kills, threshold adaptation, predictor sweeps), kept
-//     in a fixed ring — high-frequency runs retain the most recent window
+//     in a bounded ring — high-frequency runs retain the most recent window
 //     and count what they dropped.
 //   - Samples: periodic time-series gauges (capacitor voltage and stored
 //     energy, live/gated/dirty block counts, EDBP level, rolling FPR,
@@ -26,8 +26,9 @@
 // nil-checked hook that the Recorder implements; with no recorder attached
 // every instrumentation site reduces to one predictable untaken branch and
 // zero allocations (internal/sim's alloc test pins this). When enabled,
-// steady-state recording is also allocation-free: both rings are
-// preallocated.
+// both rings start empty and double as the run fills them, up to their
+// caps, so a short run allocates only what it records; a recorder whose
+// rings have reached their caps records without allocating.
 //
 // Export formats: a line-delimited JSON stream (WriteJSONL / ReadJSONL,
 // consumed by cmd/tracereport) and the Chrome trace_event format
