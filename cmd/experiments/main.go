@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -28,42 +29,75 @@ import (
 	"edbp/internal/experiments"
 	"edbp/internal/obs/olog"
 	"edbp/internal/store"
+	"edbp/internal/workload"
 )
 
 func main() {
+	// Ctrl-C / SIGTERM cancels the in-flight simulation grid instead of
+	// killing the process mid-write; a second signal kills immediately.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process plumbing, so tests can drive the flag
+// intake. The exit status is 0 on success, 1 on an error (a -scale that
+// workload.CheckScale rejects fails before any kernel is recorded) and 2
+// when the flags do not parse.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run    = flag.String("run", "all", "comma-separated experiment ids (or 'all'); ids: "+ids())
-		apps   = flag.String("apps", "", "comma-separated app subset (default: all 20)")
-		scale  = flag.Float64("scale", 1.0, "workload scale factor")
-		seed   = flag.Uint64("seed", 1, "energy trace seed")
-		seeds  = flag.Int("seeds", 0, "energy trace seeds to average (default 3)")
-		format = flag.String("format", "text", "output format: text|csv")
+		runIDs = fs.String("run", "all", "comma-separated experiment ids (or 'all'); ids: "+ids())
+		apps   = fs.String("apps", "", "comma-separated app subset (default: all 20)")
+		scale  = fs.Float64("scale", 1.0, "workload scale factor")
+		seed   = fs.Uint64("seed", 1, "energy trace seed")
+		seeds  = fs.Int("seeds", 0, "energy trace seeds to average (default 3)")
+		format = fs.String("format", "text", "output format: text|csv")
 
-		workers = flag.Int("workers", 0, "simulations to run concurrently (default GOMAXPROCS)")
-		timeout = flag.Duration("timeout", 0, "abort the whole run after this long (e.g. 30m; 0 = no limit)")
+		workers = fs.Int("workers", 0, "simulations to run concurrently (default GOMAXPROCS)")
+		timeout = fs.Duration("timeout", 0, "abort the whole run after this long (e.g. 30m; 0 = no limit)")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile (after the runs) to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile (after the runs) to this file")
 
-		storeDir = flag.String("store", "", "experiment store directory; every completed simulation is appended to it")
-		version  = flag.Bool("version", false, "print the build stamp and exit")
+		storeDir = fs.String("store", "", "experiment store directory; every completed simulation is appended to it")
+		version  = fs.Bool("version", false, "print the build stamp and exit")
 	)
-	lf := olog.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if *version {
-		fmt.Println(buildinfo.Stamp("experiments"))
-		return
+	lf := olog.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	logger := olog.MustNew(lf.Options("experiments"))
+	if *version {
+		fmt.Fprintln(stdout, buildinfo.Stamp("experiments"))
+		return 0
+	}
+	lo := lf.Options("experiments")
+	lo.W = stderr
+	logger, err := olog.New(lo)
+	if err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 2
+	}
+	fail := func(err error) int {
+		logger.Error(err.Error())
+		return 1
+	}
+	if err := workload.CheckScale(*scale); err != nil {
+		return fail(err)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			logger.Fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			logger.Fatal(err)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -71,12 +105,13 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				logger.Fatal(err)
+				code = fail(err)
+				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				logger.Fatal(err)
+				code = fail(err)
 			}
 		}()
 	}
@@ -88,17 +123,13 @@ func main() {
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{})
 		if err != nil {
-			logger.Fatal(err)
+			return fail(err)
 		}
 		defer st.Close()
 		o.Persist = st.PersistHook(buildinfo.Commit(), func() int64 { return time.Now().Unix() })
 		logger.Printf("persisting runs to %s (%d already stored)", *storeDir, st.Len())
 	}
 
-	// Ctrl-C / SIGTERM cancels the in-flight simulation grid instead of
-	// killing the process mid-write; a second signal kills immediately.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -106,8 +137,8 @@ func main() {
 	}
 
 	want := map[string]bool{}
-	if *run != "all" {
-		for _, id := range strings.Split(*run, ",") {
+	if *runIDs != "all" {
+		for _, id := range strings.Split(*runIDs, ",") {
 			want[strings.TrimSpace(id)] = true
 		}
 	}
@@ -121,26 +152,27 @@ func main() {
 		t, err := e.Run(ctx, o)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
-				logger.Fatalf("%s: -timeout %v expired: %v", e.ID, *timeout, err)
+				return fail(fmt.Errorf("%s: -timeout %v expired: %w", e.ID, *timeout, err))
 			}
 			if errors.Is(err, context.Canceled) {
-				logger.Fatalf("%s: interrupted: %v", e.ID, err)
+				return fail(fmt.Errorf("%s: interrupted: %w", e.ID, err))
 			}
-			logger.Fatalf("%s: %v", e.ID, err)
+			return fail(fmt.Errorf("%s: %w", e.ID, err))
 		}
 		if *format == "csv" {
-			fmt.Printf("# %s: %s\n", t.ID, t.Title)
-			t.CSV(os.Stdout)
-			fmt.Println()
+			fmt.Fprintf(stdout, "# %s: %s\n", t.ID, t.Title)
+			t.CSV(stdout)
+			fmt.Fprintln(stdout)
 		} else {
-			t.Print(os.Stdout)
+			t.Print(stdout)
 		}
-		fmt.Printf("(%s took %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "(%s took %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 		ran++
 	}
 	if ran == 0 {
-		logger.Fatalf("no experiments matched -run=%q; ids: %s", *run, ids())
+		return fail(fmt.Errorf("no experiments matched -run=%q; ids: %s", *runIDs, ids()))
 	}
+	return 0
 }
 
 func ids() string {

@@ -239,12 +239,6 @@ type Config struct {
 	BatchCap int
 }
 
-// maxScale bounds Config.Scale. A kernel's recording grows linearly with
-// its scale (crc32 at 1 records 800k events and allocates 34 MB) and
-// workload.Cached keeps every recorded scale, so normalize rejects a
-// larger scale before anything is recorded.
-const maxScale = 4
-
 // DefaultBatchCap is the default upper bound on flushes per batch. It
 // matches the cancellation poll cadence (cancelPollMask+1), so batching
 // never lengthens the interval between poll opportunities.
@@ -309,11 +303,10 @@ func cfgErrf(field, format string, args ...any) *ConfigError {
 
 // normalize fills zero values with defaults and validates the result.
 func (c Config) normalize() (Config, error) {
-	if math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) || c.Scale < 0 {
-		return c, cfgErrf("Scale", "must be a finite non-negative factor, got %g", c.Scale)
-	}
-	if c.Scale > maxScale {
-		return c, cfgErrf("Scale", "must be at most %g (1 is the evaluation size), got %g", float64(maxScale), c.Scale)
+	// The bound workload.Cached records under; a caller's own Trace skips
+	// Cached, so the check is made here too.
+	if err := workload.CheckScale(c.Scale); err != nil {
+		return c, &ConfigError{Field: "Scale", Err: err}
 	}
 	if c.Scale == 0 {
 		c.Scale = 1.0

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -19,7 +20,7 @@ func TestCachedSharesTrace(t *testing.T) {
 	if a != b {
 		t.Error("same (name, scale) recorded twice")
 	}
-	// scale <= 0 normalizes to 1, matching App.Record.
+	// Scale 0 normalizes to 1, matching App.Record.
 	z, err := Cached("crc32", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -73,5 +74,31 @@ func TestCachedUnknownApp(t *testing.T) {
 	}
 	if _, kept := traceCache.Load(traceKey{name: "no-such-kernel", scale: 1}); kept {
 		t.Error("an unknown app left an entry in the trace cache")
+	}
+}
+
+// TestCachedRejectsScale: a NaN, infinite, negative or over-bound scale is
+// an error, asked once or twice, and records nothing: the cache gains no
+// entry. The bound itself and 0 (meaning 1) pass the check.
+func TestCachedRejectsScale(t *testing.T) {
+	entries := func() (n int) {
+		traceCache.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	before := entries()
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-9, math.Nextafter(MaxScale, 5), 5, 256} {
+		for try := 0; try < 2; try++ {
+			if tr, err := Cached("crc32", scale); err == nil {
+				t.Errorf("Cached(crc32, %g) recorded %d events, want an error", scale, len(tr.Events))
+			}
+		}
+	}
+	if n := entries() - before; n != 0 {
+		t.Errorf("rejected scales left %d trace cache entries", n)
+	}
+	for _, scale := range []float64{0, 1e-9, MaxScale} {
+		if err := CheckScale(scale); err != nil {
+			t.Errorf("CheckScale(%g) = %v, want nil", scale, err)
+		}
 	}
 }
