@@ -136,3 +136,33 @@ func TestConfigHash(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeResult feeds arbitrary bytes to DecodeResult, the decoder of
+// every stored run. It must never panic, and a Result it accepts must
+// encode and decode again to a DeepEqual Result. The seed corpus under
+// testdata/fuzz/FuzzDecodeResult holds EncodeResult outputs of real runs
+// (trace summary, zombie profile and EDBP registers among them) and of
+// TestResultCodecGolden's hand-built Result; the envelopes below cover the
+// rejections.
+func FuzzDecodeResult(f *testing.F) {
+	for _, env := range []string{`{}`, `{"v":1}`, `{"v":1,"result":null}`, `{"v":2,"result":{}}`, `{"v":1,"result":{}}`} {
+		f.Add([]byte(env))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeResult(r)
+		if err != nil {
+			t.Fatalf("%q decodes, but its Result does not encode: %v", data, err)
+		}
+		again, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("%q decodes, but its re-encoding %s does not: %v", data, enc, err)
+		}
+		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("%q decodes to\n%+v\nand after a round trip through %s to\n%+v", data, r, enc, again)
+		}
+	})
+}
