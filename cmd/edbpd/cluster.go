@@ -37,11 +37,7 @@ func (s *server) initCluster() {
 	if liveness <= 0 {
 		liveness = 6 * time.Second
 	}
-	vnodes := s.opts.vnodes
-	if vnodes <= 0 {
-		vnodes = cluster.DefaultVnodes
-	}
-	s.members = cluster.NewMembership(liveness, vnodes)
+	s.members = cluster.NewMembership(liveness, cluster.DefaultVnodes)
 	s.cmet = &clusterMetrics{
 		coord: cluster.Metrics{
 			Dispatches: s.reg.CounterVec("edbpd_cluster_dispatch_total",

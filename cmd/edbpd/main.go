@@ -151,7 +151,6 @@ func main() {
 		advertise   = flag.String("advertise", "", "base URL the coordinator should reach this worker at (default http://127.0.0.1<addr> when -addr is :port)")
 		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "worker heartbeat cadence")
 		liveness    = flag.Duration("liveness", 6*time.Second, "coordinator: how long a silent worker keeps owning shards")
-		vnodes      = flag.Int("vnodes", 0, "coordinator: virtual nodes per worker on the hash ring (0 = default)")
 		spanOff     = flag.Bool("span-off", false, "disable service span recording (/trace and /trace/{grid-id} return 404)")
 	)
 	lf := olog.RegisterFlags(flag.CommandLine)
@@ -181,7 +180,6 @@ func main() {
 		pprof:       *pprofFlag,
 		coordinator: *coordinator,
 		liveness:    *liveness,
-		vnodes:      *vnodes,
 		nodeID:      *nodeID,
 		spansOff:    *spanOff,
 		logger:      logger,

@@ -250,10 +250,9 @@ type serverOptions struct {
 	// endpoints, /grid sharded dispatch, and remote execution of runs
 	// whenever live workers exist (local simulation is the fallback).
 	// liveness bounds how long a silent worker keeps owning shards
-	// (default 6s); vnodes tunes ring granularity.
+	// (default 6s).
 	coordinator bool
 	liveness    time.Duration
-	vnodes      int
 
 	// nodeID, when non-empty, names this process in the fleet and becomes
 	// the node="..." const label on every metrics series it exports.

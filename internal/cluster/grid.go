@@ -49,9 +49,8 @@ type Grid struct {
 	mu      sync.Mutex
 	entries []*EntryStatus
 
-	hub    *Hub
-	done   chan struct{}
-	cancel context.CancelFunc
+	hub  *Hub
+	done chan struct{}
 }
 
 // StartGrid dispatches every entry concurrently — each to the worker
@@ -70,7 +69,6 @@ func (c *Coordinator) StartGrid(ctx context.Context, id string, entries []GridEn
 		entries: make([]*EntryStatus, len(entries)),
 		hub:     NewHub(),
 		done:    make(chan struct{}),
-		cancel:  cancel,
 	}
 	var wg sync.WaitGroup
 	for i, e := range entries {
@@ -168,7 +166,3 @@ func (g *Grid) Done() <-chan struct{} { return g.done }
 
 // Subscribe attaches a fan-in stream listener; see Hub.Subscribe.
 func (g *Grid) Subscribe() (<-chan Event, func()) { return g.hub.Subscribe() }
-
-// Cancel aborts the grid's in-flight dispatches. Entries already done
-// keep their results; undone entries fail with the context error.
-func (g *Grid) Cancel() { g.cancel() }

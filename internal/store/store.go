@@ -9,31 +9,30 @@
 //	kind(1) | payloadLen(4, LE) | crc32(payload)(4, LE) | payload
 //
 // and appended to the highest-numbered (active) segment with a single
-// write. A crash can only tear the final record; Open scans the active
-// segment, stops at the first short or CRC-failing frame, and truncates
-// the tail so every complete record survives and the next append lands on
-// a clean boundary. When the active segment exceeds MaxSegmentBytes it is
-// sealed: a sidecar index (000001.idx, one index record in the same
-// framing) records every entry's key and offset so reopening a large store
-// reads indexes, not segments; a missing or corrupt sidecar falls back to
-// a scan.
+// write; once the active segment exceeds MaxSegmentBytes the next append
+// opens a new one. Open indexes every segment by one CRC-checked scan,
+// decoding only each result record's head (its key and append time). A
+// crash can only tear the final record: the scan stops at the first short
+// or CRC-failing frame, and in the active segment it truncates the tail so
+// every complete record survives and the next append lands on a clean
+// boundary. Every read re-reads its record's frame and checks kind, length
+// and CRC again, so a record altered on disk is an error, never a result.
 //
 // Writes are append-only; a re-run of the same key appends a superseding
 // record (Get returns the latest, Select returns all — trend queries want
-// the history). Compact rewrites the store keeping only each key's latest
-// result and each (app, env, commit)'s latest WCET record, in sorted key
-// order, so compacting the same logical content always produces
-// byte-identical segments.
+// the history).
 //
 // The store is single-process: one *Store owns the directory, and its
 // methods are safe for concurrent use within that process.
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -136,14 +135,13 @@ type WCETRecord struct {
 const (
 	kindResult byte = 1
 	kindWCET   byte = 2
-	kindIndex  byte = 3
 )
 
 // frameOverhead is kind + length + crc.
 const frameOverhead = 1 + 4 + 4
 
-// segMagic opens every segment (and index) file; the trailing byte is the
-// layout version.
+// segMagic opens every segment file; the trailing byte is the layout
+// version.
 var segMagic = []byte("EDBPSTR1")
 
 // resultPayload is the JSON payload of a kindResult record.
@@ -155,29 +153,18 @@ type resultPayload struct {
 	Data json.RawMessage `json:"data"`
 }
 
-// idxPayload is the JSON payload of a sidecar index record: everything
-// Open needs to index a sealed segment without scanning it. WCET records
-// are small and stored inline.
-type idxPayload struct {
-	Segment int        `json:"segment"`
-	Entries []idxEntry `json:"entries"`
-}
-
-type idxEntry struct {
-	Kind byte        `json:"kind"`
-	Key  *Key        `json:"key,omitempty"`
-	WCET *WCETRecord `json:"wcet,omitempty"`
-	Time int64       `json:"unix_time,omitempty"`
-	Off  int64       `json:"off"` // payload offset within the segment
-	Len  int64       `json:"len"` // payload length
-}
+// dataField ends a result payload's head: its key and time, without the
+// data that is the bulk of the record. json.Marshal writes resultPayload's
+// fields in declaration order, and a quote inside a JSON string is always
+// escaped, so the first match is the top-level data field.
+var dataField = []byte(`,"data":`)
 
 // entry locates one result record.
 type entry struct {
 	key  Key
 	time int64
 	seg  int
-	off  int64 // payload offset
+	off  int64 // frame offset within the segment
 	len  int64 // payload length
 }
 
@@ -214,7 +201,6 @@ type Store struct {
 	opts Options
 
 	mu         sync.RWMutex
-	segs       []int // existing segment numbers, ascending
 	active     *os.File
 	activeNum  int
 	activeSize int64
@@ -223,12 +209,9 @@ type Store struct {
 	byKey    map[Key]int    // -> latest index in entries
 	byRunKey map[runKey]int // commit-agnostic latest
 	wcet     []WCETRecord   // append order
-	segOf    map[int][]int  // segment -> entry indexes (for sealing)
-	wcetSeg  map[int][]int  // segment -> wcet indexes (for sealing)
 }
 
 func segName(n int) string { return fmt.Sprintf("%06d.seg", n) }
-func idxName(n int) string { return fmt.Sprintf("%06d.idx", n) }
 
 // Open opens (creating if needed) the store directory.
 func Open(dir string, opts Options) (*Store, error) {
@@ -240,38 +223,35 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir: dir, opts: opts,
 		byKey:    make(map[Key]int),
 		byRunKey: make(map[runKey]int),
-		segOf:    make(map[int][]int),
-		wcetSeg:  make(map[int][]int),
 	}
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	var segs []int
 	for _, de := range names {
 		var n int
 		if _, err := fmt.Sscanf(de.Name(), "%06d.seg", &n); err == nil && segName(n) == de.Name() {
-			s.segs = append(s.segs, n)
+			segs = append(segs, n)
 		}
 	}
-	sort.Ints(s.segs)
-	if len(s.segs) == 0 {
-		s.segs = []int{1}
+	sort.Ints(segs)
+	if len(segs) == 0 {
+		segs = []int{1}
 		if err := s.createSegment(1); err != nil {
 			return nil, err
 		}
 	}
-	for i, n := range s.segs {
-		activeSeg := i == len(s.segs)-1
-		if !activeSeg {
-			if ok := s.loadIndex(n); ok {
-				continue
-			}
+	var data []byte // one read buffer serves every segment
+	for i, n := range segs {
+		if data, err = readFile(filepath.Join(dir, segName(n)), data); err != nil {
+			return nil, fmt.Errorf("store: reading %s: %w", segName(n), err)
 		}
-		if err := s.scanSegment(n, activeSeg); err != nil {
+		if err := s.scanSegment(n, data, i == len(segs)-1); err != nil {
 			return nil, err
 		}
 	}
-	n := s.segs[len(s.segs)-1]
+	n := segs[len(segs)-1]
 	f, err := os.OpenFile(filepath.Join(dir, segName(n)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -292,37 +272,6 @@ func (s *Store) createSegment(n int) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
-}
-
-// loadIndex indexes a sealed segment from its sidecar; false means scan.
-func (s *Store) loadIndex(n int) bool {
-	data, err := os.ReadFile(filepath.Join(s.dir, idxName(n)))
-	if err != nil || len(data) < len(segMagic) || string(data[:len(segMagic)]) != string(segMagic) {
-		return false
-	}
-	kind, payload, rest, ok := readFrame(data[len(segMagic):])
-	if !ok || kind != kindIndex || len(rest) != 0 {
-		return false
-	}
-	var idx idxPayload
-	if err := json.Unmarshal(payload, &idx); err != nil || idx.Segment != n {
-		return false
-	}
-	for _, e := range idx.Entries {
-		switch e.Kind {
-		case kindResult:
-			if e.Key == nil {
-				return false
-			}
-			s.addEntry(entry{key: *e.Key, time: e.Time, seg: n, off: e.Off, len: e.Len})
-		case kindWCET:
-			if e.WCET == nil {
-				return false
-			}
-			s.addWCET(*e.WCET, n)
-		}
-	}
-	return true
 }
 
 // readFrame decodes one record frame from b; ok is false on a short or
@@ -353,17 +302,13 @@ func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 	return append(append(dst, hdr[:]...), payload...)
 }
 
-// scanSegment indexes a segment by reading it record by record. For the
-// active segment a torn tail (short frame, bad CRC — a crashed append) is
-// recovered by truncating the file back to the last complete record; for
-// sealed segments the tail after a tear is dropped from the index but the
-// file is left untouched.
-func (s *Store) scanSegment(n int, active bool) error {
+// scanSegment indexes segment n, whose bytes are data, record by record.
+// For the active segment a torn tail (short frame, bad CRC — a crashed
+// append) is recovered by truncating the file back to the last complete
+// record; for sealed segments the tail after a tear is dropped from the
+// index but the file is left untouched.
+func (s *Store) scanSegment(n int, data []byte, active bool) error {
 	path := filepath.Join(s.dir, segName(n))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != string(segMagic) {
 		if active && len(data) < len(segMagic) {
 			// A segment torn inside its 8-byte header holds no records;
@@ -372,6 +317,10 @@ func (s *Store) scanSegment(n int, active bool) error {
 		}
 		return fmt.Errorf("store: %s is not a segment file", path)
 	}
+	// The result heads are gathered into one JSON array and decoded
+	// together, once per segment.
+	heads := []byte{'['}
+	var found []entry
 	off := int64(len(segMagic))
 	rest := data[off:]
 	for len(rest) > 0 {
@@ -379,25 +328,40 @@ func (s *Store) scanSegment(n int, active bool) error {
 		if !ok {
 			break // torn tail: everything before it is intact
 		}
-		payloadOff := off + frameOverhead
 		switch kind {
 		case kindResult:
-			var rp resultPayload
-			if err := json.Unmarshal(payload, &rp); err != nil {
-				return fmt.Errorf("store: %s @%d: corrupt result payload passed CRC: %w", path, off, err)
+			i := bytes.Index(payload, dataField)
+			if i < 0 {
+				return fmt.Errorf("store: %s @%d: result payload without data passed CRC", path, off)
 			}
-			s.addEntry(entry{key: rp.Key, time: rp.Time, seg: n, off: payloadOff, len: int64(len(payload))})
+			heads = append(append(heads, payload[:i]...), '}', ',')
+			found = append(found, entry{seg: n, off: off, len: int64(len(payload))})
 		case kindWCET:
 			var w WCETRecord
 			if err := json.Unmarshal(payload, &w); err != nil {
 				return fmt.Errorf("store: %s @%d: corrupt wcet payload passed CRC: %w", path, off, err)
 			}
-			s.addWCET(w, n)
+			s.wcet = append(s.wcet, w)
 		default:
 			return fmt.Errorf("store: %s @%d: unknown record kind %d", path, off, kind)
 		}
-		off = payloadOff + int64(len(payload))
+		off += frameOverhead + int64(len(payload))
 		rest = next
+	}
+	if len(found) > 0 {
+		heads[len(heads)-1] = ']'
+		var rps []resultPayload
+		err := json.Unmarshal(heads, &rps)
+		if err == nil && len(rps) != len(found) {
+			err = fmt.Errorf("%d heads for %d records", len(rps), len(found))
+		}
+		if err != nil {
+			return fmt.Errorf("store: %s: corrupt result payload passed CRC: %w", path, err)
+		}
+		for i, e := range found {
+			e.key, e.time = rps[i].Key, rps[i].Time
+			s.addEntry(e)
+		}
 	}
 	if active && off < int64(len(data)) {
 		if err := os.Truncate(path, off); err != nil {
@@ -407,21 +371,35 @@ func (s *Store) scanSegment(n int, active bool) error {
 	return nil
 }
 
+// readFile reads the file at path into buf, reallocating only when it does
+// not fit.
+func readFile(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return buf, err
+	}
+	if int64(cap(buf)) < st.Size() {
+		buf = make([]byte, st.Size())
+	}
+	buf = buf[:st.Size()]
+	_, err = io.ReadFull(f, buf)
+	return buf, err
+}
+
 func (s *Store) addEntry(e entry) {
 	i := len(s.entries)
 	s.entries = append(s.entries, e)
 	s.byKey[e.key] = i
 	s.byRunKey[e.key.run()] = i
-	s.segOf[e.seg] = append(s.segOf[e.seg], i)
-}
-
-func (s *Store) addWCET(w WCETRecord, seg int) {
-	s.wcetSeg[seg] = append(s.wcetSeg[seg], len(s.wcet))
-	s.wcet = append(s.wcet, w)
 }
 
 // append frames and writes one record, rolling the active segment first
-// when it is full. Returns the payload offset. Caller holds s.mu.
+// when it is full. Returns the frame offset. Caller holds s.mu.
 func (s *Store) append(kind byte, payload []byte) (seg int, off int64, err error) {
 	recLen := int64(frameOverhead + len(payload))
 	if s.activeSize+recLen > s.opts.MaxSegmentBytes && s.activeSize > int64(len(segMagic)) {
@@ -438,17 +416,13 @@ func (s *Store) append(kind byte, payload []byte) (seg int, off int64, err error
 			return 0, 0, fmt.Errorf("store: sync: %w", err)
 		}
 	}
-	off = s.activeSize + frameOverhead
+	off = s.activeSize
 	s.activeSize += recLen
 	return s.activeNum, off, nil
 }
 
-// roll seals the active segment (writing its sidecar index) and opens the
-// next one.
+// roll seals the active segment and opens the next one.
 func (s *Store) roll() error {
-	if err := s.writeSidecar(s.activeNum); err != nil {
-		return err
-	}
 	if err := s.active.Close(); err != nil {
 		return fmt.Errorf("store: sealing %s: %w", segName(s.activeNum), err)
 	}
@@ -460,35 +434,7 @@ func (s *Store) roll() error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.segs = append(s.segs, n)
 	s.active, s.activeNum, s.activeSize = f, n, int64(len(segMagic))
-	return nil
-}
-
-// writeSidecar persists the index of one segment's records.
-func (s *Store) writeSidecar(n int) error {
-	idx := idxPayload{Segment: n}
-	for _, i := range s.segOf[n] {
-		e := s.entries[i]
-		k := e.key
-		idx.Entries = append(idx.Entries, idxEntry{Kind: kindResult, Key: &k, Time: e.time, Off: e.off, Len: e.len})
-	}
-	for _, i := range s.wcetSeg[n] {
-		w := s.wcet[i]
-		idx.Entries = append(idx.Entries, idxEntry{Kind: kindWCET, WCET: &w})
-	}
-	payload, err := json.Marshal(idx)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	data := appendFrame(append([]byte{}, segMagic...), kindIndex, payload)
-	tmp := filepath.Join(s.dir, idxName(n)+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, idxName(n))); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	return nil
 }
 
@@ -527,36 +473,44 @@ func (s *Store) PutWCET(rec WCETRecord) error {
 	if s.active == nil {
 		return fmt.Errorf("store: closed")
 	}
-	seg, _, err := s.append(kindWCET, payload)
-	if err != nil {
+	if _, _, err := s.append(kindWCET, payload); err != nil {
 		return err
 	}
-	s.addWCET(rec, seg)
+	s.wcet = append(s.wcet, rec)
 	return nil
 }
 
-// readPayload fetches and re-verifies one record's payload from disk.
-func (s *Store) readPayload(e entry) ([]byte, error) {
+// readRecord re-reads one result record's frame and checks its kind,
+// length and CRC, and that it holds the key it is indexed under, so a
+// record altered on disk since Open is an error, never altered bytes.
+func (s *Store) readRecord(e entry) (resultPayload, error) {
+	var rp resultPayload
 	f, err := os.Open(filepath.Join(s.dir, segName(e.seg)))
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return rp, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	buf := make([]byte, e.len)
+	buf := make([]byte, frameOverhead+e.len)
 	if _, err := f.ReadAt(buf, e.off); err != nil {
-		return nil, fmt.Errorf("store: reading %s @%d: %w", segName(e.seg), e.off, err)
+		return rp, fmt.Errorf("store: reading %s @%d: %w", segName(e.seg), e.off, err)
 	}
-	return buf, nil
+	kind, payload, _, ok := readFrame(buf)
+	if !ok || kind != kindResult || int64(len(payload)) != e.len {
+		return rp, fmt.Errorf("store: %s @%d: record changed on disk since Open", segName(e.seg), e.off)
+	}
+	if err := json.Unmarshal(payload, &rp); err != nil {
+		return rp, fmt.Errorf("store: %s @%d: %w", segName(e.seg), e.off, err)
+	}
+	if rp.Key != e.key {
+		return rp, fmt.Errorf("store: %s @%d holds %v, indexed as %v", segName(e.seg), e.off, rp.Key, e.key)
+	}
+	return rp, nil
 }
 
 func (s *Store) decodeEntry(e entry) (*sim.Result, error) {
-	payload, err := s.readPayload(e)
+	rp, err := s.readRecord(e)
 	if err != nil {
 		return nil, err
-	}
-	var rp resultPayload
-	if err := json.Unmarshal(payload, &rp); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
 	}
 	return sim.DecodeResult(rp.Data)
 }
@@ -618,13 +572,9 @@ func (s *Store) RawByHash(configHash string) ([]byte, Key, bool, error) {
 	if best == nil {
 		return nil, Key{}, false, nil
 	}
-	payload, err := s.readPayload(e)
+	rp, err := s.readRecord(e)
 	if err != nil {
 		return nil, Key{}, false, err
-	}
-	var rp resultPayload
-	if err := json.Unmarshal(payload, &rp); err != nil {
-		return nil, Key{}, false, fmt.Errorf("store: %w", err)
 	}
 	return rp.Data, e.key, true, nil
 }
@@ -762,185 +712,6 @@ func (s *Store) Commits() []string { return s.distinct(func(k Key) string { retu
 // pairwise disjoint when no worker died mid-grid.
 func (s *Store) ConfigHashes() []string {
 	return s.distinct(func(k Key) string { return k.ConfigHash })
-}
-
-// Compact rewrites the store keeping only the latest result per key and
-// the latest WCET record per (app, env, commit), in sorted key order. The
-// output is deterministic: the same logical content always compacts to
-// byte-identical segments (append timestamps are preserved from the
-// surviving records). The swap window (delete old, rename new) is not
-// crash-atomic; the append path's torn-tail recovery is the durability
-// story, compaction is maintenance.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.active == nil {
-		return fmt.Errorf("store: closed")
-	}
-
-	// Survivors, deterministically ordered.
-	resIdx := make([]int, 0, len(s.byKey))
-	for _, i := range s.byKey {
-		resIdx = append(resIdx, i)
-	}
-	sort.Slice(resIdx, func(a, b int) bool { return keyLess(s.entries[resIdx[a]].key, s.entries[resIdx[b]].key) })
-	type wkey struct{ app, env, commit string }
-	lastW := map[wkey]int{}
-	for i, w := range s.wcet {
-		lastW[wkey{w.App, w.Env, w.Commit}] = i
-	}
-	wIdx := make([]int, 0, len(lastW))
-	for _, i := range lastW {
-		wIdx = append(wIdx, i)
-	}
-	sort.Slice(wIdx, func(a, b int) bool {
-		x, y := s.wcet[wIdx[a]], s.wcet[wIdx[b]]
-		if x.App != y.App {
-			return x.App < y.App
-		}
-		if x.Env != y.Env {
-			return x.Env < y.Env
-		}
-		return x.Commit < y.Commit
-	})
-
-	// Build the compacted segment set in memory (payloads re-framed; the
-	// stored bytes themselves are reused untouched).
-	type newRec struct {
-		kind    byte
-		payload []byte
-		entry   *entry // result records only; offsets filled during write
-		wcet    *WCETRecord
-	}
-	var recs []newRec
-	for _, i := range resIdx {
-		e := s.entries[i]
-		payload, err := s.readPayload(e)
-		if err != nil {
-			return err
-		}
-		ne := e
-		recs = append(recs, newRec{kind: kindResult, payload: payload, entry: &ne})
-	}
-	for _, i := range wIdx {
-		w := s.wcet[i]
-		payload, err := json.Marshal(w)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		recs = append(recs, newRec{kind: kindWCET, payload: payload, wcet: &w})
-	}
-
-	// Write segments to temp files, splitting at MaxSegmentBytes.
-	var tmpFiles []string
-	cleanup := func() {
-		for _, p := range tmpFiles {
-			os.Remove(p)
-		}
-	}
-	segNo := 1
-	buf := append([]byte{}, segMagic...)
-	newEntries := []entry{}
-	newWCET := []WCETRecord{}
-	newSegOf := map[int][]int{}
-	newWcetSeg := map[int][]int{}
-	flush := func() error {
-		tmp := filepath.Join(s.dir, segName(segNo)+".cmp")
-		if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		tmpFiles = append(tmpFiles, tmp)
-		return nil
-	}
-	for _, r := range recs {
-		recLen := int64(frameOverhead + len(r.payload))
-		if int64(len(buf))+recLen > s.opts.MaxSegmentBytes && int64(len(buf)) > int64(len(segMagic)) {
-			if err := flush(); err != nil {
-				cleanup()
-				return err
-			}
-			segNo++
-			buf = append([]byte{}, segMagic...)
-		}
-		off := int64(len(buf)) + frameOverhead
-		buf = appendFrame(buf, r.kind, r.payload)
-		switch r.kind {
-		case kindResult:
-			e := *r.entry
-			e.seg, e.off, e.len = segNo, off, int64(len(r.payload))
-			newSegOf[segNo] = append(newSegOf[segNo], len(newEntries))
-			newEntries = append(newEntries, e)
-		case kindWCET:
-			newWcetSeg[segNo] = append(newWcetSeg[segNo], len(newWCET))
-			newWCET = append(newWCET, *r.wcet)
-		}
-	}
-	if err := flush(); err != nil {
-		cleanup()
-		return err
-	}
-
-	// Swap: retire the old files, promote the new.
-	s.active.Close()
-	s.active = nil
-	for _, n := range s.segs {
-		os.Remove(filepath.Join(s.dir, segName(n)))
-		os.Remove(filepath.Join(s.dir, idxName(n)))
-	}
-	for i, tmp := range tmpFiles {
-		if err := os.Rename(tmp, filepath.Join(s.dir, segName(i+1))); err != nil {
-			return fmt.Errorf("store: promoting compacted segment: %w", err)
-		}
-	}
-
-	// Adopt the new state; the last segment becomes active.
-	s.entries, s.wcet = newEntries, newWCET
-	s.segOf, s.wcetSeg = newSegOf, newWcetSeg
-	s.byKey = make(map[Key]int, len(newEntries))
-	s.byRunKey = make(map[runKey]int, len(newEntries))
-	for i, e := range s.entries {
-		s.byKey[e.key] = i
-		s.byRunKey[e.key.run()] = i
-	}
-	s.segs = s.segs[:0]
-	for i := range tmpFiles {
-		s.segs = append(s.segs, i+1)
-	}
-	// Seal every compacted segment but the last with a sidecar.
-	for _, n := range s.segs[:len(s.segs)-1] {
-		if err := s.writeSidecar(n); err != nil {
-			return err
-		}
-	}
-	n := s.segs[len(s.segs)-1]
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(n)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	s.active, s.activeNum, s.activeSize = f, n, st.Size()
-	return nil
-}
-
-// keyLess orders keys for deterministic compaction.
-func keyLess(a, b Key) bool {
-	if a.App != b.App {
-		return a.App < b.App
-	}
-	if a.Scheme != b.Scheme {
-		return a.Scheme < b.Scheme
-	}
-	if a.Seed != b.Seed {
-		return a.Seed < b.Seed
-	}
-	if a.ConfigHash != b.ConfigHash {
-		return a.ConfigHash < b.ConfigHash
-	}
-	return a.Commit < b.Commit
 }
 
 // Close flushes and releases the active segment. The store is unusable

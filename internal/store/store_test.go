@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -286,8 +287,10 @@ func TestTornTailRecovery(t *testing.T) {
 }
 
 // TestSegmentRollingAndSidecars forces tiny segments so appends roll, then
-// proves the sidecar indexes alone (scan would find the same) rebuild the
-// store, and that deleting a sidecar falls back to scanning.
+// proves a reopen indexes the store from its segments alone: stale and
+// garbage .idx sidecars, as builds that wrote sidecar indexes leave them,
+// change nothing, and a one-bit flip inside a sealed segment's payload is
+// never served.
 func TestSegmentRollingAndSidecars(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{MaxSegmentBytes: 2048})
@@ -309,23 +312,22 @@ func TestSegmentRollingAndSidecars(t *testing.T) {
 	if len(segs) < 2 {
 		t.Fatalf("expected rolling to create multiple segments, got %v", segs)
 	}
-	idxs, _ := filepath.Glob(filepath.Join(dir, "*.idx"))
-	if len(idxs) != len(segs)-1 {
-		t.Fatalf("want a sidecar per sealed segment: %d segments, %d sidecars", len(segs), len(idxs))
+	if idxs, _ := filepath.Glob(filepath.Join(dir, "*.idx")); len(idxs) != 0 {
+		t.Fatalf("sealing wrote sidecar indexes: %v", idxs)
 	}
 
-	verify := func(s *Store) {
+	verify := func(s *Store, keys []Key) {
 		t.Helper()
 		if n := s.Len(); n != len(keys) {
 			t.Fatalf("Len = %d, want %d", n, len(keys))
 		}
-		for i, k := range keys {
+		for _, k := range keys {
 			res, ok, err := s.Get(k)
 			if !ok || err != nil {
-				t.Fatalf("Get(seed=%d): ok=%v err=%v", i, ok, err)
+				t.Fatalf("Get(seed=%d): ok=%v err=%v", k.Seed, ok, err)
 			}
-			if res.WallTime != float64(i+1) {
-				t.Fatalf("seed %d: wall %v, want %d", i, res.WallTime, i+1)
+			if res.WallTime != float64(k.Seed+1) {
+				t.Fatalf("seed %d: wall %v, want %d", k.Seed, res.WallTime, k.Seed+1)
 			}
 		}
 		if w := s.WCETs(Filter{}); len(w) != 1 {
@@ -337,100 +339,100 @@ func TestSegmentRollingAndSidecars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verify(s2)
+	verify(s2, keys)
 	s2.Close()
 
-	// Kill a sidecar: Open must fall back to scanning that segment.
-	if err := os.Remove(idxs[0]); err != nil {
-		t.Fatal(err)
+	// Sidecars beside every sealed segment: index frames (kind 3) listing a
+	// record the segment does not hold, and bytes that frame nothing.
+	for n := 1; n < len(segs); n++ {
+		side := appendFrame(append([]byte{}, segMagic...), 3,
+			[]byte(fmt.Sprintf(`{"segment":%d,"entries":[{"kind":1,"key":{"app":"stale"},"off":9,"len":5}]}`, n)))
+		if n%2 == 0 {
+			side = []byte("not an index")
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%06d.idx", n)), side, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s3, err := Open(dir, Options{MaxSegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	verify(s3)
+	verify(s3, keys)
 	s3.Close()
+
+	// Flip one bit of seed 1's WallTime digit in sealed segment 2 (2 reads
+	// as 3): the scan's CRC check drops the record instead of serving it.
+	seg2 := filepath.Join(dir, segName(2))
+	data, err := os.ReadFile(seg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(`"WallTime":2,`))
+	if i < 0 {
+		t.Fatal("segment 2 does not hold seed 1's record")
+	}
+	data[i+len(`"WallTime":`)] ^= 1
+	if err := os.WriteFile(seg2, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s4, err := Open(dir, Options{MaxSegmentBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s4.Close()
+	if res, ok, err := s4.Get(keys[1]); ok || err != nil {
+		t.Fatalf("Get of the flipped record: ok=%v err=%v res=%+v, want not found", ok, err, res)
+	}
+	if _, _, ok, err := s4.RawByHash(keys[1].ConfigHash); ok || err != nil {
+		t.Fatalf("RawByHash of the flipped record: ok=%v err=%v, want not found", ok, err)
+	}
+	verify(s4, append([]Key{keys[0]}, keys[2:]...))
 }
 
-// TestCompactDeterministic proves compaction drops superseded records and
-// that two stores with the same logical content (built in different append
-// orders) compact to byte-identical segment files.
-func TestCompactDeterministic(t *testing.T) {
-	build := func(dir string, order []int) {
-		t.Helper()
-		s, err := Open(dir, Options{MaxSegmentBytes: 2048})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		// Logical content: 4 runs (one superseded) + 2 WCET records (one
-		// superseded). `order` permutes the non-superseding appends.
-		results := []*sim.Result{
-			fakeResult("crc32", sim.Baseline, 1, 1),
-			fakeResult("crc32", sim.EDBP, 1, 2),
-			fakeResult("sha", sim.EDBP, 2, 3),
-		}
-		for _, i := range order {
-			put(t, s, results[i], "c1", int64(10+i))
-		}
-		put(t, s, fakeResult("crc32", sim.EDBP, 1, 9), "c1", 99) // supersedes
-		if err := s.PutWCET(WCETRecord{App: "crc32", Env: "solar", Commit: "c1", Cases: 1, MaxObserved: 1, MaxBound: 2}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.PutWCET(WCETRecord{App: "crc32", Env: "solar", Commit: "c1", Cases: 2, MaxObserved: 1.5, MaxBound: 2}); err != nil {
-			t.Fatal(err) // supersedes
-		}
-		if err := s.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	dirA, dirB := t.TempDir(), t.TempDir()
-	build(dirA, []int{0, 1, 2})
-	build(dirB, []int{2, 0, 1})
-
-	segsA, _ := filepath.Glob(filepath.Join(dirA, "*.seg"))
-	segsB, _ := filepath.Glob(filepath.Join(dirB, "*.seg"))
-	if len(segsA) == 0 || len(segsA) != len(segsB) {
-		t.Fatalf("segment counts differ: %d vs %d", len(segsA), len(segsB))
-	}
-	for i := range segsA {
-		a, err := os.ReadFile(segsA[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(segsB[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("compacted segment %s differs between append orders", filepath.Base(segsA[i]))
-		}
-	}
-
-	// The compacted store still serves, dropped the superseded record, and
-	// keeps accepting appends; a cold reopen agrees.
-	s, err := Open(dirA, Options{MaxSegmentBytes: 2048})
+// TestAlteredRecordIsAnError alters records on disk after Open, a payload
+// bit in a sealed segment and a kind byte in the active one: every read of
+// them is an error, never the altered record.
+func TestAlteredRecordIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{MaxSegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if n := s.Len(); n != 3 {
-		t.Fatalf("Len after compaction = %d, want 3", n)
+	sealed := put(t, s, fakeResult("crc32", sim.EDBP, 1, 1.25), "c1", 1) // segment 1
+	active := put(t, s, fakeResult("sha", sim.Decay, 2, 2.5), "c1", 2)   // segment 2
+	alter := func(n int, at func([]byte) int) {
+		t.Helper()
+		path := filepath.Join(dir, segName(n))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[at(data)] ^= 1
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	k := KeyFor(fakeResult("crc32", sim.EDBP, 1, 0).Config, "c1")
-	res, ok, err := s.Get(k)
-	if !ok || err != nil {
-		t.Fatalf("Get after compaction: ok=%v err=%v", ok, err)
+	// 1.25 reads as 1.24 in sealed segment 1, and the active segment's
+	// first frame turns from kind 1 to kind 0.
+	alter(1, func(b []byte) int { return bytes.Index(b, []byte(`"WallTime":1.25`)) + len(`"WallTime":1.2`) })
+	alter(2, func([]byte) int { return len(segMagic) })
+
+	for _, k := range []Key{sealed, active} {
+		if res, ok, err := s.Get(k); err == nil {
+			t.Errorf("Get(%v) = ok %v, %+v; want an error", k, ok, res)
+		}
+		if res, _, ok, err := s.GetLatest(k.App, k.Scheme, k.Seed, k.ConfigHash); err == nil {
+			t.Errorf("GetLatest(%v) = ok %v, %+v; want an error", k, ok, res)
+		}
+		if runs, err := s.Select(Filter{App: k.App}); err == nil {
+			t.Errorf("Select(app=%s) = %d runs; want an error", k.App, len(runs))
+		}
+		if _, _, ok, err := s.RawByHash(k.ConfigHash); err == nil {
+			t.Errorf("RawByHash(%v) = ok %v; want an error", k, ok)
+		}
 	}
-	if res.WallTime != 9 {
-		t.Fatalf("compaction kept the superseded record: wall=%v", res.WallTime)
-	}
-	w := s.WCETs(Filter{})
-	if len(w) != 1 || w[0].Cases != 2 {
-		t.Fatalf("WCET after compaction: %+v", w)
-	}
-	put(t, s, fakeResult("fft", sim.AMC, 7, 7), "c2", 200)
 }
 
 func TestOpenEmptyDirAndClosedStore(t *testing.T) {
