@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"edbp/internal/cluster"
@@ -17,7 +18,9 @@ import (
 
 // maxGridEntries bounds one POST /grid expansion: a full paper matrix is
 // ~13 apps x 12 schemes x a few seeds, so this is generous while still
-// refusing a runaway cross product.
+// refusing a runaway cross product. It also bounds what a server keeps:
+// the result cache holds that many results and the finished grids it
+// remembers hold that many cells, so the largest grid stays whole.
 const maxGridEntries = 4096
 
 // clusterMetrics is the coordinator's instrument set over the server
@@ -266,40 +269,9 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	id := fmt.Sprintf("grid-%d", s.nextGrid.Add(1))
-	s.cmet.grids.Inc()
-	s.cmet.gridEntries.Add(float64(len(entries)))
-	// Grids outlive their submitting request: dispatch under the server's
-	// lifetime, bounded per-entry by the run timeout the workers enforce.
-	// The grid root span anchors the cross-node trace: every dispatch span
-	// (and, over the traceparent header, every worker-side span) descends
-	// from it, so GET /trace/{grid-id} can assemble the whole picture.
-	gctx := context.Background()
-	gsp := s.spans.Start(span.FromCtx(r.Context()), "grid")
-	var trace span.TraceID
-	if gsp != nil {
-		gsp.Attr("grid", id).Attr("entries", strconv.Itoa(len(entries)))
-		gctx = span.With(gctx, gsp.Ctx())
-		trace = gsp.Ctx().Trace
-	}
-	g := s.coord.StartGrid(gctx, id, entries, func(key string, result json.RawMessage) {
-		out := &runOutput{}
-		if err := json.Unmarshal(result, out); err == nil {
-			s.cache.Store(key, out)
-		}
-	})
-	s.grids.Store(id, &gridRecord{grid: g, trace: trace})
-	if gsp != nil {
-		go func() {
-			<-g.Done()
-			sum := g.Summary()
-			gsp.Attr("done", strconv.Itoa(sum.Done)).Attr("failed", strconv.Itoa(sum.Failed))
-			gsp.End()
-		}()
-	}
-
+	g := s.startGrid(span.FromCtx(r.Context()), entries)
 	if r.URL.Query().Get("wait") == "" {
-		writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "entries": len(entries)})
+		writeJSON(w, http.StatusAccepted, map[string]any{"id": g.ID, "entries": len(entries)})
 		return
 	}
 	select {
@@ -313,14 +285,105 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// startGrid dispatches entries as a new grid and records it for
+// GET /grid/{id}, /grid/{id}/stream and /trace/{id}. Grids outlive their
+// submitting request: dispatch runs under the server's lifetime, bounded
+// per entry by the run timeout the workers enforce. The grid root span,
+// a child of parent, anchors the cross-node trace: every dispatch span
+// (and, over the traceparent header, every worker-side span) descends
+// from it, so GET /trace/{grid-id} can assemble the whole picture.
+func (s *server) startGrid(parent span.Context, entries []cluster.GridEntry) *cluster.Grid {
+	id := fmt.Sprintf("grid-%d", s.nextGrid.Add(1))
+	s.cmet.grids.Inc()
+	s.cmet.gridEntries.Add(float64(len(entries)))
+	gctx := context.Background()
+	rec := &gridRecord{cells: len(entries)}
+	gsp := s.spans.Start(parent, "grid")
+	if gsp != nil {
+		gsp.Attr("grid", id).Attr("entries", strconv.Itoa(len(entries)))
+		gctx = span.With(gctx, gsp.Ctx())
+		rec.trace = gsp.Ctx().Trace
+	}
+	rec.grid = s.coord.StartGrid(gctx, id, entries, func(key string, result json.RawMessage) {
+		out := &runOutput{}
+		if err := json.Unmarshal(result, out); err == nil {
+			s.cache.put(key, out)
+		}
+	})
+	s.grids.add(rec)
+	go func() {
+		<-rec.grid.Done()
+		if gsp != nil {
+			sum := rec.grid.Summary()
+			gsp.Attr("done", strconv.Itoa(sum.Done)).Attr("failed", strconv.Itoa(sum.Failed))
+			gsp.End()
+		}
+		s.grids.finish(rec)
+	}()
+	return rec.grid
+}
+
+// gridRecord is a coordinator-side grid plus the trace that spans it —
+// the handle GET /trace/{grid-id} assembles the cross-node view from.
+// cells, its entry count, counts against the bound once it finishes.
+type gridRecord struct {
+	grid  *cluster.Grid
+	trace span.TraceID
+	cells int
+}
+
+// gridRecords holds the grids GET /grid/{id}, /grid/{id}/stream and
+// /trace/{id} read. A grid in flight is always kept. Finished grids are
+// kept newest first while their cells total at most maxGridEntries, so
+// the largest grid a coordinator accepts stays readable once it finishes;
+// an older finished grid is forgotten, and its id is a 404.
+type gridRecords struct {
+	mu       sync.Mutex
+	byID     map[string]*gridRecord
+	finished []*gridRecord // in the order they finished, oldest first
+	cells    int           // the cells of finished
+}
+
+func (gs *gridRecords) get(id string) (*gridRecord, bool) {
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	rec, ok := gs.byID[id]
+	return rec, ok
+}
+
+func (gs *gridRecords) add(rec *gridRecord) {
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	if gs.byID == nil {
+		gs.byID = make(map[string]*gridRecord)
+	}
+	gs.byID[rec.grid.ID] = rec
+}
+
+// finish marks rec finished and forgets the oldest finished grids past
+// the bound.
+func (gs *gridRecords) finish(rec *gridRecord) {
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	gs.finished = append(gs.finished, rec)
+	gs.cells += rec.cells
+	for gs.cells > maxGridEntries {
+		old := gs.finished[0]
+		gs.finished[0] = nil
+		gs.finished = gs.finished[1:]
+		gs.cells -= old.cells
+		delete(gs.byID, old.grid.ID)
+	}
+}
+
 func (s *server) loadGrid(w http.ResponseWriter, r *http.Request) (*cluster.Grid, bool) {
 	id := r.PathValue("id")
-	v, ok := s.grids.Load(id)
+	rec, ok := s.grids.get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown grid %q", id)
 		return nil, false
 	}
-	return v.(*gridRecord).grid, true
+	return rec.grid, true
 }
 
 func (s *server) handleGridStatus(w http.ResponseWriter, r *http.Request) {

@@ -15,6 +15,7 @@ import (
 	"edbp/internal/cluster"
 	"edbp/internal/obs"
 	"edbp/internal/sim"
+	"edbp/internal/span"
 	"edbp/internal/store"
 )
 
@@ -503,5 +504,105 @@ func TestClusterGridStream(t *testing.T) {
 	}
 	if entries != 2 {
 		t.Errorf("saw %d entry events, want 2", entries)
+	}
+}
+
+// TestGridRecordsBound: a coordinator keeps a grid while it is in flight,
+// and keeps finished grids, newest first, while their cells total at most
+// maxGridEntries. An evicted grid's id is a 404 on GET /grid/{id}, its
+// stream and its trace.
+func TestGridRecordsBound(t *testing.T) {
+	coord := newClusterCoordinator(t)
+	s := coord.srv
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	w := newClusterWorker(t, "held", hold)
+	t.Cleanup(func() { release(); drainWorker(t, w) })
+	joinWorker(t, coord, "held", w.ts.URL)
+
+	// recorded waits until g is done and its record is marked finished.
+	recorded := func(g *cluster.Grid) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			s.grids.mu.Lock()
+			n := len(s.grids.finished)
+			last := n > 0 && s.grids.finished[n-1].grid == g
+			s.grids.mu.Unlock()
+			if last {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never recorded finished", g.ID)
+			}
+		}
+	}
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(coord.ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// The oldest grid stays in flight: its one cell waits in the worker.
+	spec := gridRequests(t)[0]
+	body, err := json.Marshal(spec.knobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight := s.startGrid(span.Context{}, []cluster.GridEntry{{Key: spec.key, Body: body}})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		held := 0
+		w.srv.jobs.Range(func(_, _ any) bool { held++; return true })
+		if held == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never held the in-flight grid's cell")
+		}
+	}
+	// With no worker left, every cell of the next grids fails at once.
+	s.members.Leave("held")
+	cells := func(n int) []cluster.GridEntry {
+		out := make([]cluster.GridEntry, n)
+		for i := range out {
+			out[i] = cluster.GridEntry{Key: fmt.Sprintf("cell-%d-%d", n, i), Body: []byte(`{}`)}
+		}
+		return out
+	}
+	var finished []*cluster.Grid
+	for _, n := range []int{maxGridEntries / 2, maxGridEntries / 2, 1} {
+		g := s.startGrid(span.Context{}, cells(n))
+		recorded(g)
+		finished = append(finished, g)
+	}
+
+	// The three finished grids hold maxGridEntries+1 cells: the oldest goes.
+	for i, g := range finished {
+		want := http.StatusOK
+		if i == 0 {
+			want = http.StatusNotFound
+		}
+		for _, path := range []string{"/grid/" + g.ID, "/grid/" + g.ID + "/stream", "/trace/" + g.ID} {
+			if code := status(path); code != want {
+				t.Errorf("GET %s = %d, want %d", path, code, want)
+			}
+		}
+	}
+	for _, path := range []string{"/grid/" + inFlight.ID, "/trace/" + inFlight.ID} {
+		if code := status(path); code != http.StatusOK {
+			t.Errorf("in-flight grid: GET %s = %d, want 200", path, code)
+		}
+	}
+
+	// Once it finishes, the grid that was in flight is the newest finished
+	// grid and is kept with its result.
+	release()
+	recorded(inFlight)
+	var view gridView
+	if code := doJSON(t, "GET", coord.ts.URL+"/grid/"+inFlight.ID, "", &view); code != http.StatusOK || view.Summary.Done != 1 {
+		t.Errorf("finished grid %s = %d %+v, want 200 with its one cell done", inFlight.ID, code, view.Summary)
 	}
 }

@@ -56,13 +56,6 @@ func writeSpans(w http.ResponseWriter, r *http.Request, recs []span.Record) {
 	}
 }
 
-// gridRecord is a coordinator-side grid plus the trace that spans it —
-// the handle GET /trace/{grid-id} assembles the cross-node view from.
-type gridRecord struct {
-	grid  *cluster.Grid
-	trace span.TraceID
-}
-
 // fedNode is one fleet member's scrape status in GET /cluster/metrics.
 type fedNode struct {
 	ID    string `json:"id"`
@@ -181,12 +174,11 @@ func (s *server) scrapeWorker(ctx context.Context, n cluster.Node, path string) 
 // dispatch spans still record that the attempts happened.
 func (s *server) handleGridTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	v, ok := s.grids.Load(id)
+	gr, ok := s.grids.get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown grid %q", id)
 		return
 	}
-	gr := v.(*gridRecord)
 	if gr.trace.IsZero() || s.spans == nil {
 		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "grid %q has no trace (span recording disabled)", id)
 		return

@@ -12,28 +12,35 @@ import (
 	"testing"
 	"time"
 
+	"edbp/internal/cluster"
 	tracepkg "edbp/internal/trace"
 )
 
 // TestDrainEnqueueRace hammers intake from 8 goroutines while Drain flips
-// the server, repeatedly. Every submission must resolve deterministically:
-// 202 accepted (and then actually finished by the pool — Drain returning
-// nil proves that), or 503 with a Retry-After header and a typed reason.
-// No hung request, no send-on-closed-channel panic (the race detector
-// covers the close-during-send window), no bare 503.
+// the server, repeatedly. Drain starts only once the first stream has been
+// accepted, so submissions race the queue's close. Every submission must
+// resolve deterministically: a 200 stream that ends in its result (the
+// pool finishes every job queued before the close, and Drain returning nil
+// proves it), or a 503 with a Retry-After header and a typed code. No hung
+// request, no send-on-closed-channel panic (the race detector covers the
+// close-during-send window), no bare 503.
 func TestDrainEnqueueRace(t *testing.T) {
-	type rejection struct {
+	type outcome struct {
 		code       int
 		retryAfter string
-		reason     string
+		errCode    string
+		last       string // a 200 stream's terminal frame
 	}
+	draining := 0
 	for round := 0; round < 4; round++ {
 		s := newServer(serverOptions{queueDepth: 4, workers: 2})
 		ts := httptest.NewServer(s.Handler())
 
 		const clients, perClient = 8, 6
-		results := make(chan rejection, clients*perClient)
+		results := make(chan outcome, clients*perClient)
 		start := make(chan struct{})
+		accepted := make(chan struct{})
+		accept := sync.OnceFunc(func() { close(accepted) })
 		var wg sync.WaitGroup
 		for i := 0; i < clients; i++ {
 			wg.Add(1)
@@ -43,22 +50,32 @@ func TestDrainEnqueueRace(t *testing.T) {
 				for k := 0; k < perClient; k++ {
 					body := fmt.Sprintf(`{"app":"crc32","scheme":"baseline","scale":0.05,"seed":%d}`,
 						round*1000+i*100+k+1)
-					resp, err := http.Post(ts.URL+"/run?async=1", "application/json", strings.NewReader(body))
+					resp, err := http.Post(ts.URL+"/run?stream=1", "application/json", strings.NewReader(body))
 					if err != nil {
 						t.Errorf("submit: %v", err)
 						return
 					}
-					var e struct {
-						Error string `json:"error"`
+					o := outcome{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
+					if resp.StatusCode == http.StatusOK {
+						accept()
+						cluster.ParseSSE(resp.Body, func(name string, _ []byte) { o.last = name })
+					} else {
+						var e cluster.ErrorBody
+						json.NewDecoder(resp.Body).Decode(&e)
+						o.errCode = e.Code
 					}
-					json.NewDecoder(resp.Body).Decode(&e)
 					resp.Body.Close()
-					results <- rejection{resp.StatusCode, resp.Header.Get("Retry-After"), e.Error}
+					results <- o
 				}
 			}(i)
 		}
 		close(start)
 
+		select {
+		case <-accepted:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: no stream accepted", round)
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		if err := s.Drain(ctx); err != nil {
 			t.Fatalf("round %d: drain: %v", round, err)
@@ -68,46 +85,54 @@ func TestDrainEnqueueRace(t *testing.T) {
 		ts.Close()
 		close(results)
 
+		finished := 0
 		for r := range results {
 			switch r.code {
-			case http.StatusAccepted:
+			case http.StatusOK:
+				if r.last != "result" {
+					t.Fatalf("round %d: accepted stream ended with %q, want its result", round, r.last)
+				}
+				finished++
 			case http.StatusServiceUnavailable:
 				if r.retryAfter == "" {
-					t.Fatalf("round %d: 503 %q without Retry-After", round, r.reason)
+					t.Fatalf("round %d: 503 %q without Retry-After", round, r.errCode)
 				}
-				if r.reason != "draining" && !strings.HasPrefix(r.reason, "queue full") {
-					t.Fatalf("round %d: 503 with untyped reason %q", round, r.reason)
+				switch r.errCode {
+				case cluster.CodeDraining:
+					draining++
+				case cluster.CodeQueueFull:
+				default:
+					t.Fatalf("round %d: 503 with untyped code %q", round, r.errCode)
 				}
 			default:
-				t.Fatalf("round %d: submission = %d (%q), want 202 or 503", round, r.code, r.reason)
+				t.Fatalf("round %d: submission = %d (%q), want 200 or 503", round, r.code, r.errCode)
 			}
 		}
+		if finished == 0 {
+			t.Errorf("round %d: no stream ended in its result", round)
+		}
+	}
+	if draining == 0 {
+		t.Error("no submission met the drain: the enqueue-versus-close window was never reached")
 	}
 }
 
 // TestDrainAbortMarksPendingFailed wedges the single worker on the
-// holdJobs gate, then drains with a deadline far shorter than the wedge.
-// The aborted drain must (a) return an error naming the pending count,
-// (b) mark both the parked and the queued job failed with the typed
-// drain-abort reason — no phantom "queued"/"running" after shutdown — and
-// (c) keep them failed even after the worker wakes up and dequeues them.
+// holdJobs gate with one streamed run and queues a second, then drains
+// with a deadline far shorter than the wedge. The aborted drain must (a)
+// return an error naming the pending count, (b) refuse new streams as
+// draining, (c) end both held streams in a drain_aborted error frame — no
+// phantom in-flight run after shutdown — and (d) keep both jobs failed
+// after the worker wakes up and dequeues them: neither is simulated.
 func TestDrainAbortMarksPendingFailed(t *testing.T) {
 	gate := make(chan struct{})
 	s := newServer(serverOptions{queueDepth: 4, workers: 1, holdJobs: gate})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
 
-	submit := func(seed int) jobView {
-		var j jobView
-		body := fmt.Sprintf(`{"app":"crc32","scheme":"baseline","scale":0.05,"seed":%d}`, seed)
-		if code := doJSON(t, "POST", ts.URL+"/run?async=1", body, &j); code != http.StatusAccepted {
-			t.Fatalf("submit seed %d = %d", seed, code)
-		}
-		return j
-	}
-	a := submit(1) // worker dequeues this one and parks on the gate
-	b := submit(2) // stays in the queue channel
-
+	pending := holdStreams(t, s, ts.URL, baselineBody(1), baselineBody(2))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	err := s.Drain(ctx)
 	cancel()
@@ -117,30 +142,24 @@ func TestDrainAbortMarksPendingFailed(t *testing.T) {
 	if !strings.Contains(err.Error(), "drain aborted with 2 jobs") {
 		t.Errorf("drain error = %v, want it to count 2 pending jobs", err)
 	}
-
-	for _, id := range []string{a.ID, b.ID} {
-		var got jobView
-		doJSON(t, "GET", ts.URL+"/jobs/"+id, "", &got)
-		if got.Status != "failed" || !strings.Contains(got.Error, "drain aborted") {
-			t.Errorf("job %s after aborted drain = %q (%q), want failed with drain-abort reason",
-				id, got.Status, got.Error)
+	refuseStream(t, ts.URL, baselineBody(3), cluster.CodeDraining)
+	for i := 0; i < 2; i++ {
+		r := <-pending
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("held stream = %d, %v", r.code, r.err)
+		}
+		if e := errorFrame(t, r.events); e.Code != cluster.CodeDrainAborted {
+			t.Errorf("drain-aborted run's error frame = %+v, want code %q", e, cluster.CodeDrainAborted)
 		}
 	}
 
 	// Release the worker. It dequeues the already-failed jobs; job.start
 	// must refuse them so neither is resurrected (or simulated).
-	close(gate)
+	release()
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel2()
 	if err := s.Drain(ctx2); err != nil {
 		t.Fatalf("second drain: %v", err)
-	}
-	for _, id := range []string{a.ID, b.ID} {
-		var got jobView
-		doJSON(t, "GET", ts.URL+"/jobs/"+id, "", &got)
-		if got.Status != "failed" {
-			t.Errorf("job %s resurrected to %q after the worker woke", id, got.Status)
-		}
 	}
 	if s.met.runsOK.Value() != 0 {
 		t.Errorf("aborted jobs were simulated anyway (runs_ok = %g)", s.met.runsOK.Value())
@@ -148,7 +167,7 @@ func TestDrainAbortMarksPendingFailed(t *testing.T) {
 }
 
 // TestStreamSamplerUnbound drives sampleRun directly through the client-
-// disconnect path: ctx is cancelled while the run (runDone) is still open.
+// disconnect path: ctx is cancelled while the run (lr.done) is still open.
 // The sampler must close its frames channel and exit — the ranged read
 // below only returns if it does.
 func TestStreamSamplerUnbound(t *testing.T) {
@@ -157,7 +176,7 @@ func TestStreamSamplerUnbound(t *testing.T) {
 	defer close(lr.done)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	frames := sampleRun(ctx, lr, time.Millisecond, lr.done)
+	frames := sampleRun(ctx, lr)
 	cancel() // the client went away; the run is still in flight
 	select {
 	case _, ok := <-frames:
@@ -169,38 +188,24 @@ func TestStreamSamplerUnbound(t *testing.T) {
 	}
 }
 
-// TestStreamAbortGoroutineBaseline opens /stream against a held job (the
-// handler parks waiting for a live run that never comes), aborts the
-// client, and asserts the process goroutine count returns to its
-// pre-stream baseline — neither the handler's wait loop nor a sampler may
+// TestStreamAbortGoroutineBaseline opens streamed runs behind a frozen
+// worker (each handler parks waiting for a live run that never comes),
+// aborts the clients, and asserts the process goroutine count returns to
+// its pre-stream baseline — neither the handler's wait nor a sampler may
 // outlive the request.
 func TestStreamAbortGoroutineBaseline(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts := testServer(t, serverOptions{workers: 1, holdJobs: gate})
-	defer close(gate)
-
-	var j jobView
-	if code := doJSON(t, "POST", ts.URL+"/run?async=1",
-		`{"app":"crc32","scheme":"baseline","scale":0.05}`, &j); code != http.StatusAccepted {
-		t.Fatalf("submit = %d", code)
-	}
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before the server's own cleanup drains it
 	baseline := runtime.NumGoroutine()
 
-	for i := 0; i < 3; i++ {
-		// The handler parks in its wait-for-live-run loop (the worker holds
-		// the job before it ever starts) and hasn't sent headers yet, so the
-		// only way out is the request context expiring — exactly a client
-		// that gave up.
+	for seed := 1; seed <= 3; seed++ {
+		// The worker holds the first job before it ever starts and the
+		// queue holds the rest, so the only way out is the request context
+		// expiring — exactly a client that gave up.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/stream?job="+j.ID+"&interval_ms=1", nil)
-		if err != nil {
-			cancel()
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
-		}
+		postStream(ctx, ts.URL, baselineBody(seed))
 		cancel()
 	}
 

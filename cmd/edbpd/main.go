@@ -12,24 +12,19 @@
 //	                 validated before anything queues (a config sim rejects
 //	                 is a 400 on every path), the response the Result JSON.
 //	                 Runs are cached by sim.ConfigHash, so every spelling
-//	                 of a config is one run. With ?async=1 the job enters
-//	                 a bounded queue and the response is 202 + a job id.
-//	                 With ?stream=1 the job enters the same queue and the
-//	                 response is Server-Sent Events: the run's "gauge"
-//	                 frames, then exactly one "result" frame (the Result
-//	                 JSON) or "error" frame (the error JSON below); closing
-//	                 the stream cancels the run. Coordinators dispatch
-//	                 with it.
-//	GET  /jobs/{id}  poll an async job: queued | running | done | failed.
+//	                 of a config is one run. With ?stream=1 the job enters
+//	                 a bounded queue and the response is Server-Sent
+//	                 Events: the run's "gauge" frames (capacitor voltage,
+//	                 live/gated/dirty blocks, FPR, zombie ratio), then
+//	                 exactly one "result" frame (the Result JSON) or
+//	                 "error" frame (the error JSON below); closing the
+//	                 stream cancels the run. Coordinators dispatch with it.
+//	                 Any other query parameter is a 400.
 //	GET  /healthz    liveness; 503 once the server starts draining.
 //	GET  /metrics    the internal/obs registry in Prometheus text format
 //	                 0.0.4 (counters, gauges, run/queue histograms, trace
 //	                 event and ring-drop aggregates); ?format=json returns
 //	                 the JSON snapshot.
-//	GET  /stream     ?job=<id>: Server-Sent Events feed of sampled gauges
-//	                 (capacitor voltage, live/gated/dirty blocks, FPR,
-//	                 zombie ratio) from an async job's run; 404 without a
-//	                 known job id.
 //	GET  /runs       stored runs from the experiment store (-store): filters
 //	                 app/scheme/seed/commit/config_hash, latest=1, limit=N;
 //	                 format=raw returns a run's stored encoding byte for
@@ -50,10 +45,9 @@
 // stable code: bad_request, not_found, queue_full and draining (503 with
 // Retry-After), no_workers, run_failed, timeout, or internal. A config
 // the simulator rejects is a 400 bad_request, also when a coordinator's
-// worker rejected it. A failed queued job also reports bad_request,
-// run_failed, timeout or drain_aborted, in its /jobs/{id} snapshot or its
-// stream's "error" frame. Clients branch on the status and the code, never
-// on the message.
+// worker rejected it. A failed streamed run also reports bad_request,
+// run_failed, timeout or drain_aborted, in its stream's "error" frame.
+// Clients branch on the status and the code, never on the message.
 //
 // Logging: every binary in this repo takes -log-level (debug|info|warn|
 // error) and -log-format (text|json). Text keeps the historical
@@ -75,7 +69,11 @@
 //	                         by sim.ConfigHash and dispatched to the worker
 //	                         owning each hash on a consistent ring; 202 +
 //	                         grid id, or the full result set with ?wait=1
-//	GET  /grid/{id}          grid summary + per-cell status
+//	GET  /grid/{id}          grid summary + per-cell status; a grid in
+//	                         flight is always kept, finished grids newest
+//	                         first while their cells total at most 4096,
+//	                         and an older grid's id is a 404 here, on its
+//	                         stream and on its trace
 //	GET  /grid/{id}/stream   fan-in SSE: relayed worker gauges wrapped
 //	                         {node,key,gauge}, per-cell "entry" events, a
 //	                         final "done" summary
@@ -91,7 +89,7 @@
 //
 // A worker is an ordinary edbpd started with -join <coordinator-url>: it
 // registers, heartbeats, and serves the same /run API the coordinator
-// dispatches to. Each worker's result cache and -store shard hold exactly
+// dispatches to. Each worker's result cache and -store shard hold only
 // the config hashes the ring routes to it, so the fleet's stores form a
 // partitioned, disjoint result set (audited via store.ConfigHashes).
 // Each dispatched cell is one POST /run?stream=1; a worker that dies
@@ -101,8 +99,9 @@
 // live workers falls back to simulating locally. -node-id stamps every
 // metrics series with a node="..." label so fleet dashboards aggregate.
 //
-// Identical configs are answered from a sha256 config-hash result cache;
-// fresh runs share the process-wide workload and energy-trace memoization.
+// Identical configs are answered from a sha256 config-hash result cache
+// that keeps the 4096 newest results; fresh runs share the process-wide
+// workload and energy-trace memoization.
 // With -store DIR every fresh completed run is also appended to the
 // persistent experiment store (keyed by config hash and the build's
 // commit), queryable via /runs, /query and cmd/edbpq across restarts.
@@ -137,9 +136,9 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		queue        = flag.Int("queue", 64, "async job queue depth (503 when full)")
-		workers      = flag.Int("workers", 2, "async queue worker goroutines")
-		runTimeout   = flag.Duration("run-timeout", 15*time.Minute, "per-run deadline, sync and async")
+		queue        = flag.Int("queue", 64, "queue depth for streamed runs (503 when full)")
+		workers      = flag.Int("workers", 2, "queue worker goroutines")
+		runTimeout   = flag.Duration("run-timeout", 15*time.Minute, "per-run deadline, sync and streamed")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "how long to wait for queued jobs on shutdown")
 		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		storeDir     = flag.String("store", "", "experiment store directory; persists every fresh completed run and enables /runs and /query")

@@ -1,13 +1,12 @@
 package main
 
 import (
-	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"edbp/internal/obs"
 	"edbp/internal/obs/obstest"
@@ -15,7 +14,7 @@ import (
 	"edbp/internal/trace"
 )
 
-// TestMetricsExposition drives a sync run plus an async job through the
+// TestMetricsExposition drives a sync run plus a streamed run through the
 // server and checks the /metrics contract: the exact Prometheus content
 // type, # HELP/# TYPE on every family, and the new registry-backed series
 // (histograms, per-config counters, cache misses, ring-drop counters).
@@ -25,11 +24,13 @@ func TestMetricsExposition(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/run", `{"app":"crc32","scheme":"edbp","scale":0.05}`, nil); code != http.StatusOK {
 		t.Fatalf("sync run = %d", code)
 	}
-	var j jobView
-	if code := doJSON(t, "POST", ts.URL+"/run?async=1", `{"app":"crc32","scheme":"baseline","scale":0.05}`, &j); code != http.StatusAccepted {
-		t.Fatalf("async run = %d", code)
+	code, events, _, err := postStream(context.Background(), ts.URL, `{"app":"crc32","scheme":"baseline","scale":0.05}`)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("streamed run = %d, %v", code, err)
 	}
-	waitForJob(t, ts.URL, j.ID)
+	if last, _ := terminalFrame(t, events); last.name != "result" {
+		t.Fatalf("streamed run ended with %s %s", last.name, last.data)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -105,140 +106,41 @@ func TestMetricsJSONSnapshot(t *testing.T) {
 	}
 }
 
-// waitForJob polls GET /jobs/{id} until done (fails the test on failure
-// or timeout).
-func waitForJob(t *testing.T, base, id string) *jobView {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var got jobView
-		if code := doJSON(t, "GET", base+"/jobs/"+id, "", &got); code != http.StatusOK {
-			t.Fatalf("GET /jobs/%s = %d", id, code)
-		}
-		switch got.Status {
-		case "done":
-			return &got
-		case "failed":
-			t.Fatalf("job %s failed: %s", id, got.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %q", id, got.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestStreamSSE submits an async job and follows GET /stream?job=...: at
-// least one gauge frame with live capacitor state must arrive while the
-// run is in flight, and the stream must close with a done event.
+// TestStreamSSE follows a full-scale POST /run?stream=1: gauge frames with
+// strictly increasing ordinals and live capacitor state arrive before the
+// result frame, under the run's label. The sampler also flushes the final
+// sample, so even a fast run must deliver at least one frame.
 func TestStreamSSE(t *testing.T) {
 	_, ts := testServer(t, serverOptions{workers: 1})
-
-	var j jobView
-	// Full-scale run (~1e6 events) so the stream has time to observe it;
-	// the handler also flushes the final sample, so even a fast run must
-	// deliver at least one frame.
-	if code := doJSON(t, "POST", ts.URL+"/run?async=1", `{"app":"crc32","scheme":"edbp","scale":1.0,"seed":77}`, &j); code != http.StatusAccepted {
-		t.Fatalf("async submit = %d", code)
+	// Full-scale run (~1e6 events) so the sampler has time to observe it.
+	code, events, _, err := postStream(context.Background(), ts.URL, `{"app":"crc32","scheme":"edbp","scale":1.0,"seed":77}`)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("POST /run?stream=1 = %d, %v", code, err)
 	}
-
-	resp, err := http.Get(ts.URL + "/stream?job=" + j.ID + "&interval_ms=1")
-	if err != nil {
-		t.Fatal(err)
+	last, gauges := terminalFrame(t, events)
+	if last.name != "result" {
+		t.Fatalf("stream ended with %s %s", last.name, last.data)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /stream = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q, want text/event-stream", ct)
-	}
-
-	var (
-		frames  int
-		sawDone bool
-		event   string
-		frame   gaugeFrame
-	)
-	sc := bufio.NewScanner(resp.Body)
-	deadline := time.Now().Add(30 * time.Second)
-	for sc.Scan() {
-		if time.Now().After(deadline) {
-			t.Fatal("stream did not finish in time")
-		}
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			if event == "gauge" {
-				if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &frame); err != nil {
-					t.Fatalf("bad gauge frame: %v", err)
-				}
-				frames++
-			}
-			if event == "done" {
-				sawDone = true
-			}
-		}
-		if sawDone {
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("stream read: %v", err)
-	}
-	if frames == 0 {
+	if gauges == 0 {
 		t.Fatal("no gauge frames delivered")
 	}
-	if !sawDone {
-		t.Error("stream ended without a done event")
+	var frame gaugeFrame
+	for i, ev := range events[:gauges] {
+		prev := frame.Seq
+		if err := json.Unmarshal(ev.data, &frame); err != nil {
+			t.Fatalf("bad gauge frame %s: %v", ev.data, err)
+		}
+		if i > 0 && frame.Seq <= prev {
+			t.Errorf("gauge %d: seq %d after %d, want strictly increasing", i, frame.Seq, prev)
+		}
 	}
 	// The last frame must look like a live EDBP run: a charged capacitor
-	// and a monotone sample ordinal.
+	// and a sample ordinal.
 	if frame.Seq == 0 || frame.VoltageV <= 0 {
 		t.Errorf("last frame implausible: %+v", frame)
 	}
 	if frame.Label != "crc32/EDBP/RFHome" {
-		t.Errorf("frame label = %q", frame.Label)
-	}
-	waitForJob(t, ts.URL, j.ID)
-}
-
-// TestStreamNoRun: without any run in flight, /stream is a 404; an
-// unknown job id is a 404 too.
-func TestStreamNoRun(t *testing.T) {
-	_, ts := testServer(t, serverOptions{})
-	if code := doJSON(t, "GET", ts.URL+"/stream", "", nil); code != http.StatusNotFound {
-		t.Errorf("GET /stream with no run = %d, want 404", code)
-	}
-	if code := doJSON(t, "GET", ts.URL+"/stream?job=nope", "", nil); code != http.StatusNotFound {
-		t.Errorf("GET /stream?job=nope = %d, want 404", code)
-	}
-	if code := doJSON(t, "GET", ts.URL+"/stream?interval_ms=bogus", "", nil); code != http.StatusBadRequest {
-		t.Errorf("GET /stream?interval_ms=bogus = %d, want 400", code)
-	}
-}
-
-// TestStreamIntervalBound: GET /stream takes an interval of at most one
-// minute. A huge one used to overflow time.Duration into a negative ticker
-// interval, whose panic on the sampler goroutine ended the process once any
-// run had started.
-func TestStreamIntervalBound(t *testing.T) {
-	_, ts := testServer(t, serverOptions{})
-	var j jobView
-	if code := doJSON(t, "POST", ts.URL+"/run?async=1", `{"app":"crc32","scheme":"baseline","scale":0.05}`, &j); code != http.StatusAccepted {
-		t.Fatalf("POST /run?async=1 = %d, want 202", code)
-	}
-	waitForJob(t, ts.URL, j.ID)
-	for _, v := range []string{"60001", "9223372036855"} {
-		if code := doJSON(t, "GET", ts.URL+"/stream?job="+j.ID+"&interval_ms="+v, "", nil); code != http.StatusBadRequest {
-			t.Errorf("GET /stream?interval_ms=%s = %d, want 400", v, code)
-		}
-	}
-	// The bound itself is accepted: the finished run's stream ends at once.
-	if code := doJSON(t, "GET", ts.URL+"/stream?job="+j.ID+"&interval_ms=60000", "", nil); code != http.StatusOK {
-		t.Errorf("GET /stream?interval_ms=60000 = %d, want 200", code)
+		t.Errorf("frame label = %q, want crc32/EDBP/RFHome", frame.Label)
 	}
 }
 

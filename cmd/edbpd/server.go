@@ -9,7 +9,6 @@ import (
 	"net/http"
 	httppprof "net/http/pprof"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,8 +44,8 @@ func newRunSpec(k sim.Knobs) (runSpec, error) {
 	return runSpec{knobs: k, cfg: cfg, key: sim.ConfigHash(cfg)}, nil
 }
 
-// runOutput is the Result JSON returned by POST /run, GET /jobs/{id} and
-// the "result" frame of POST /run?stream=1. Its snake_case field names are
+// runOutput is the Result JSON returned by POST /run and carried by the
+// "result" frame of POST /run?stream=1. Its snake_case field names are
 // stable API. cmd/edbpsim -json is a different schema: it writes Go field
 // names (WallSeconds, not wall_seconds) and more of the Result.
 type runOutput struct {
@@ -110,36 +109,69 @@ func output(res *sim.Result) *runOutput {
 	}
 }
 
-// liveRun exposes an in-flight simulation's trace recorder to the SSE
-// stream handlers. done closes when the run finishes (success or failure),
-// after which the recorder is quiescent and its last sample stays
-// readable.
+// resultCache maps a run's sim.ConfigHash to its completed output. It
+// holds at most maxGridEntries results, the largest grid a coordinator
+// accepts, and evicts the oldest first: a hit is a re-post of a recent
+// config, so insertion order is enough.
+type resultCache struct {
+	mu    sync.Mutex
+	byKey map[string]*runOutput
+	keys  []string // in insertion order until full, then a ring
+	next  int      // once full, the index in keys of the oldest key
+}
+
+func (c *resultCache) get(key string) (*runOutput, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out, ok := c.byKey[key]
+	return out, ok
+}
+
+// put stores out under key. A new key past the bound evicts the oldest.
+func (c *resultCache) put(key string, out *runOutput) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.byKey == nil {
+		c.byKey = make(map[string]*runOutput)
+	}
+	if _, ok := c.byKey[key]; !ok {
+		if len(c.keys) < maxGridEntries {
+			c.keys = append(c.keys, key)
+		} else {
+			delete(c.byKey, c.keys[c.next])
+			c.keys[c.next] = key
+			c.next = (c.next + 1) % maxGridEntries
+		}
+	}
+	c.byKey[key] = out
+}
+
+// liveRun exposes an in-flight simulation's trace recorder to its run
+// stream. done closes when the run finishes (success or failure), after
+// which the recorder is quiescent and its last sample stays readable.
 type liveRun struct {
 	label string
 	rec   *tracepkg.Recorder
 	done  chan struct{}
 }
 
-// job tracks one queued run (async or streamed) through the bounded queue.
+// job is one streamed run (POST /run?stream=1) through the bounded queue.
 type job struct {
-	ID     string     `json:"id"`
-	Status string     `json:"status"` // queued | running | done | failed
-	Result *runOutput `json:"result,omitempty"`
-	Error  string     `json:"error,omitempty"`
-	Code   string     `json:"code,omitempty"` // error code of a failed job
-	spec   runSpec
-	mu     sync.Mutex
-	done   chan struct{}
-
-	// ctx bounds the run: context.Background for an async job, which
-	// outlives its request, and the request's own context for a streamed
-	// run, which has no reader once the request ends.
+	id   string
+	spec runSpec
+	// ctx is the streaming request's context: it carries the request's
+	// span, and it bounds the run, which has no reader once the request
+	// ends.
 	ctx        context.Context
 	enqueuedAt time.Time
-	// parent is the submitting request's span context: the worker's
-	// queue-wait and run spans nest under it even though an async job's
-	// HTTP request span itself ends at the 202.
-	parent span.Context
+
+	mu     sync.Mutex
+	status string // queued | running | done | failed
+	// out and err are the run's outcome, set by finish before done closes.
+	out  *runOutput
+	err  error
+	done chan struct{}
+
 	// attached closes once the worker has set live, the in-flight
 	// simulation's view; live is read only after attached closes.
 	attached chan struct{}
@@ -147,23 +179,16 @@ type job struct {
 }
 
 // newJob makes a queued job for spec whose run is bounded by ctx.
-func (s *server) newJob(ctx context.Context, spec runSpec, parent span.Context) *job {
+func (s *server) newJob(ctx context.Context, spec runSpec) *job {
 	return &job{
-		ID:         fmt.Sprintf("job-%d", s.nextID.Add(1)),
-		Status:     "queued",
+		id:         fmt.Sprintf("job-%d", s.nextID.Add(1)),
 		spec:       spec,
-		done:       make(chan struct{}),
 		ctx:        ctx,
 		enqueuedAt: time.Now(),
-		parent:     parent,
+		status:     "queued",
+		done:       make(chan struct{}),
 		attached:   make(chan struct{}),
 	}
-}
-
-func (j *job) snapshot() job {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return job{ID: j.ID, Status: j.Status, Result: j.Result, Error: j.Error, Code: j.Code}
 }
 
 // awaitLive waits until the worker attaches j's live run and returns it.
@@ -193,10 +218,10 @@ func (j *job) awaitLive(ctx context.Context) *liveRun {
 func (j *job) start() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.Status != "queued" {
+	if j.status != "queued" {
 		return false
 	}
-	j.Status = "running"
+	j.status = "running"
 	return true
 }
 
@@ -206,17 +231,16 @@ func (j *job) start() bool {
 // close or a resurrected status). Reports whether this call transitioned.
 func (j *job) finish(out *runOutput, err error) bool {
 	j.mu.Lock()
-	if j.Status == "done" || j.Status == "failed" {
+	if j.status == "done" || j.status == "failed" {
 		j.mu.Unlock()
 		return false
 	}
 	if err != nil {
-		j.Status = "failed"
-		j.Error = err.Error()
-		j.Code = runErrorCode(err)
+		j.status = "failed"
+		j.err = err
 	} else {
-		j.Status = "done"
-		j.Result = out
+		j.status = "done"
+		j.out = out
 	}
 	j.mu.Unlock()
 	close(j.done)
@@ -224,9 +248,9 @@ func (j *job) finish(out *runOutput, err error) bool {
 }
 
 type serverOptions struct {
-	queueDepth int           // bounded async queue; 503 when full
-	workers    int           // async queue drainers
-	runTimeout time.Duration // per-run deadline (sync and async)
+	queueDepth int           // bounded queue of streamed runs; 503 when full
+	workers    int           // queue drainers
+	runTimeout time.Duration // per-run deadline (sync and streamed)
 	pprof      bool          // mount net/http/pprof under /debug/pprof/
 
 	// registry backs /metrics; newServer creates one when nil. Tests
@@ -278,8 +302,8 @@ type serverOptions struct {
 type server struct {
 	opts  serverOptions
 	mux   *http.ServeMux
-	jobs  sync.Map // id -> *job
-	cache sync.Map // sim.ConfigHash -> *runOutput (completed runs only)
+	jobs  sync.Map // id -> *job, each queued or running behind its stream
+	cache resultCache
 
 	queueMu  sync.RWMutex // guards queue against close-during-send
 	queue    chan *job
@@ -301,7 +325,7 @@ type server struct {
 	members  *cluster.Membership
 	coord    *cluster.Coordinator
 	cmet     *clusterMetrics
-	grids    sync.Map // grid id -> *gridRecord
+	grids    gridRecords
 	nextGrid atomic.Uint64
 	scrapes  sync.Map // node id -> *scrapeCacheEntry (metrics federation)
 }
@@ -342,7 +366,7 @@ func newServer(opts serverOptions) *server {
 	}
 	// Depth of the bounded channel itself (distinct from the queued-jobs
 	// gauge only transiently, but free and impossible to drift).
-	s.reg.GaugeFunc("edbpd_queue_depth", "Async jobs currently in the bounded queue channel.",
+	s.reg.GaugeFunc("edbpd_queue_depth", "Streamed runs currently in the bounded queue channel.",
 		func() float64 { return float64(len(s.queue)) })
 	if opts.store != nil {
 		s.reg.GaugeFunc("edbpd_store_records", "Result records in the experiment store (superseded included).",
@@ -350,10 +374,8 @@ func newServer(opts serverOptions) *server {
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /run", s.handleRun)
-	s.mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /stream", s.handleStream)
 	s.mux.HandleFunc("GET /runs", s.handleRuns)
 	s.mux.HandleFunc("GET /query", s.handleQuery)
 	s.mux.HandleFunc("GET /trace", s.handleTrace)
@@ -384,8 +406,8 @@ func (s *server) Handler() http.Handler {
 }
 
 // errDrainAborted is the typed reason stamped on jobs the drain gave up
-// waiting for: /jobs/{id} must never report a phantom in-flight job after
-// the server has shut down.
+// waiting for: their streams end in an error frame, never in a phantom
+// in-flight job after the server has shut down.
 var errDrainAborted = errors.New("edbpd: drain aborted before this job completed")
 
 // Drain stops accepting work, waits for queued jobs to finish (bounded by
@@ -442,21 +464,18 @@ func (s *server) worker() {
 		}
 		// The queue-wait span is materialized at dequeue, backdated to
 		// the enqueue instant, so it costs nothing while the job sits.
-		if qs := s.spans.StartAt(j.parent, "queue-wait", j.enqueuedAt); qs != nil {
-			qs.Attr("job", j.ID)
+		if qs := s.spans.StartAt(span.FromCtx(j.ctx), "queue-wait", j.enqueuedAt); qs != nil {
+			qs.Attr("job", j.id)
 			qs.End()
 		}
 		// Jobs run to completion even during drain; only the per-run
-		// deadline and, for a streamed run, its reader leaving stop them.
+		// deadline and the stream's reader leaving stop them.
 		ctx, cancel := context.WithTimeout(j.ctx, s.opts.runTimeout)
-		if j.parent.Valid() {
-			ctx = span.With(ctx, j.parent)
-		}
 		out, err := s.run(ctx, j.spec, j)
 		cancel()
 		j.finish(out, err)
 		if err != nil {
-			s.log.Warn("job failed", "job_id", j.ID, "trace_id", traceIDString(j.parent), "err", err.Error())
+			s.log.Warn("job failed", "job_id", j.id, "trace_id", traceIDString(span.FromCtx(j.ctx)), "err", err.Error())
 		}
 		if s.met != nil {
 			s.met.jobsRunning.Dec()
@@ -468,8 +487,7 @@ func (s *server) worker() {
 // result cache. Cached replays skip the simulator entirely; fresh runs
 // additionally reuse the process-wide workload.Cached / energy.CachedTrace
 // memoization underneath sim.RunContext. j, when non-nil, is the queued job
-// this run belongs to: its live view is attached for GET /stream and the
-// run stream.
+// this run belongs to: its live view is attached for the run stream.
 func (s *server) run(ctx context.Context, spec runSpec, j *job) (out *runOutput, err error) {
 	key, cfg := spec.key, spec.cfg
 	rs := s.spans.Start(span.FromCtx(ctx), "run")
@@ -483,14 +501,14 @@ func (s *server) run(ctx context.Context, spec runSpec, j *job) (out *runOutput,
 	}
 
 	cs := s.spans.Start(rs.Ctx(), "cache-lookup")
-	v, hitOK := s.cache.Load(key)
+	cached, hitOK := s.cache.get(key)
 	if cs != nil {
 		cs.Attr("hit", strconv.FormatBool(hitOK))
 		cs.End()
 	}
 	if hitOK {
 		s.met.observeCache(true)
-		hit := *v.(*runOutput)
+		hit := *cached
 		hit.CacheHit = true
 		return &hit, nil
 	}
@@ -499,7 +517,7 @@ func (s *server) run(ctx context.Context, spec runSpec, j *job) (out *runOutput,
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Store(key, out)
+		s.cache.put(key, out)
 		return out, nil
 	}
 	rec := tracepkg.NewRecorder(tracepkg.Options{
@@ -507,14 +525,14 @@ func (s *server) run(ctx context.Context, spec runSpec, j *job) (out *runOutput,
 		EventCap: 4096,
 		// The rings keep a bounded recent window (overwrites are counted
 		// into edbpd_trace_dropped_total); the dense cadence feeds the
-		// live gauge that GET /stream serves.
+		// live gauge a run stream serves.
 		SampleCap:   256,
 		SampleEvery: 1e-3,
 	})
 	cfg.Recorder = rec
-	lr := &liveRun{label: rec.Options().Label, rec: rec, done: make(chan struct{})}
-	defer close(lr.done)
 	if j != nil {
+		lr := &liveRun{label: rec.Options().Label, rec: rec, done: make(chan struct{})}
+		defer close(lr.done)
 		j.live = lr
 		close(j.attached)
 	}
@@ -532,7 +550,7 @@ func (s *server) run(ctx context.Context, spec runSpec, j *job) (out *runOutput,
 	s.met.observeRun(cfg.App, cfg.Scheme.String(), res, time.Since(start).Seconds())
 	s.persist(rs.Ctx(), cfg, res)
 	out = output(res)
-	s.cache.Store(key, out)
+	s.cache.put(key, out)
 	return out, nil
 }
 
@@ -622,7 +640,7 @@ func (s *server) tryEnqueue(j *job) error {
 	}
 	select {
 	case s.queue <- j:
-		s.jobs.Store(j.ID, j)
+		s.jobs.Store(j.id, j)
 		if s.met != nil {
 			s.met.jobsQueued.Inc()
 		}
@@ -657,16 +675,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // handleRun serves POST /run. The body is a sim.Knobs; an unknown key (a
 // misspelled knob would otherwise take its default) or a config sim
-// rejects is a 400 before anything queues. The default is synchronous:
-// the simulation runs under the request's context plus the per-run
-// timeout and the Result JSON is the response. With ?async=1 the job
-// enters the bounded queue and the response is 202 with the job id for
-// GET /jobs/{id}. With ?stream=1 the job enters the same queue and the
-// response streams it (streamRun).
+// rejects is a 400 before anything queues, and so is any query parameter
+// but stream, so a client still sending ?async=1 gets an error, not a
+// silent synchronous run. The default is synchronous: the simulation runs
+// under the request's context plus the per-run timeout and the Result
+// JSON is the response. With ?stream=1 the job enters the bounded queue
+// and the response streams it (streamRun).
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeDraining, "draining")
 		return
+	}
+	q := r.URL.Query()
+	for name := range q {
+		if name != "stream" {
+			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "unknown query parameter %q (POST /run takes only stream=1)", name)
+			return
+		}
 	}
 	var k sim.Knobs
 	dec := json.NewDecoder(r.Body)
@@ -680,17 +705,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "%v", err)
 		return
 	}
-
-	q := r.URL.Query()
 	if q.Get("stream") != "" {
 		s.streamRun(w, r, spec)
-		return
-	}
-	if q.Get("async") != "" {
-		j := s.newJob(context.Background(), spec, span.FromCtx(r.Context()))
-		if s.enqueue(w, j) {
-			writeJSON(w, http.StatusAccepted, j.snapshot())
-		}
 		return
 	}
 
@@ -718,13 +734,13 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 const runStreamInterval = 25 * time.Millisecond
 
 // streamRun serves POST /run?stream=1, the coordinator's one request per
-// dispatched run. The job waits in the bounded queue like an async job
-// (503 queue_full or draining when it cannot), and the response is a
-// Server-Sent Events stream: the run's "gauge" frames, then exactly one
-// terminal frame, "result" with the Result JSON or "error" with the error
-// JSON. The run belongs to the request: when the client leaves, a queued
-// job is never started and a running one is canceled. The job stays in
-// s.jobs, where a drain abort finds it, only until its stream ends.
+// dispatched run. The job waits in the bounded queue (503 queue_full or
+// draining when it cannot), and the response is a Server-Sent Events
+// stream: the run's "gauge" frames, then exactly one terminal frame,
+// "result" with the Result JSON or "error" with the error JSON. The run
+// belongs to the request: when the client leaves, a queued job is never
+// started and a running one is canceled. The job stays in s.jobs, where a
+// drain abort finds it, only until its stream ends.
 func (s *server) streamRun(w http.ResponseWriter, r *http.Request, spec runSpec) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -732,14 +748,16 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, spec runSpec)
 		return
 	}
 	ctx := r.Context()
-	j := s.newJob(ctx, spec, span.FromCtx(ctx))
+	j := s.newJob(ctx, spec)
 	if !s.enqueue(w, j) {
 		return
 	}
-	defer s.jobs.Delete(j.ID)
+	defer s.jobs.Delete(j.id)
 	startSSE(w, fl)
 	if lr := j.awaitLive(ctx); lr != nil {
-		streamGauges(ctx, w, fl, lr, runStreamInterval)
+		for frame := range sampleRun(ctx, lr) {
+			writeEvent(w, fl, "gauge", frame)
+		}
 	}
 	select {
 	case <-j.done:
@@ -747,45 +765,12 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, spec runSpec)
 		j.finish(nil, ctx.Err())
 		return
 	}
-	snap := j.snapshot()
-	if snap.Status == "done" {
-		writeEvent(w, fl, "result", snap.Result)
-	} else {
-		writeEvent(w, fl, "error", cluster.ErrorBody{Error: snap.Error, Code: snap.Code})
-	}
-}
-
-// validJobID reports whether id has the shape handleRun issues ("job-" + a
-// positive decimal). Anything else is a client-side construction error, not
-// a job that might exist later.
-func validJobID(id string) bool {
-	num, ok := strings.CutPrefix(id, "job-")
-	if !ok || num == "" || num[0] == '0' {
-		return false
-	}
-	for _, r := range num {
-		if r < '0' || r > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	// 400 for an id this server could never have issued, 404 for a
-	// well-formed id it simply doesn't know — clients retrying a 404 might
-	// be early; retrying a 400 is pointless.
-	if !validJobID(id) {
-		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "malformed job id %q (want job-<n>)", id)
+	// finish set out or err before closing done.
+	if j.err != nil {
+		writeEvent(w, fl, "error", cluster.ErrorBody{Error: j.err.Error(), Code: runErrorCode(j.err)})
 		return
 	}
-	v, ok := s.jobs.Load(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown job %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, v.(*job).snapshot())
+	writeEvent(w, fl, "result", j.out)
 }
 
 // storedRun is one GET /runs response item.
@@ -938,62 +923,6 @@ type gaugeFrame struct {
 	ZombieRatio float64 `json:"zombie_ratio"`
 }
 
-// maxStreamInterval bounds GET /stream's ?interval_ms. A longer poll
-// would show nothing a client can use, and a large enough one overflows
-// time.Duration into a negative ticker interval.
-const maxStreamInterval = time.Minute
-
-// handleStream serves GET /stream?job=<id>: a Server-Sent Events feed of
-// sampled gauges (capacitor voltage and stored energy, live/gated/dirty
-// block counts, EDBP level, FPR, zombie ratio) read from the job's
-// trace.Recorder via its race-safe live gauge, waiting for the job to
-// start. An unknown or missing job is a 404. ?interval_ms tunes the poll
-// cadence (default 100, at most maxStreamInterval). Each new sample is one
-// "gauge" event; a final "done" event closes the stream when the run
-// finishes.
-func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "streaming unsupported")
-		return
-	}
-	interval := 100 * time.Millisecond
-	if v := r.URL.Query().Get("interval_ms"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 1 || ms > int(maxStreamInterval/time.Millisecond) {
-			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest,
-				"bad interval_ms %q (want 1 to %d)", v, maxStreamInterval/time.Millisecond)
-			return
-		}
-		interval = time.Duration(ms) * time.Millisecond
-	}
-
-	id := r.URL.Query().Get("job")
-	v, ok := s.jobs.Load(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, cluster.CodeNotFound, "unknown job %q (follow a queued run with ?job=<id>)", id)
-		return
-	}
-	// A job that finishes without a live run (cache hit, failure) yields
-	// an empty stream.
-	lr := v.(*job).awaitLive(r.Context())
-	if r.Context().Err() != nil {
-		return
-	}
-
-	startSSE(w, fl)
-	if lr != nil {
-		streamGauges(r.Context(), w, fl, lr, interval)
-	}
-	// The run finished, or the client went away. Only a finished run earns
-	// the terminal event — writing to a gone client is pointless (and the
-	// write would just error into the void).
-	if r.Context().Err() == nil {
-		io.WriteString(w, "event: done\ndata: {}\n\n")
-		fl.Flush()
-	}
-}
-
 // startSSE sends the headers of a Server-Sent Events response.
 func startSSE(w http.ResponseWriter, fl http.Flusher) {
 	h := w.Header()
@@ -1014,25 +943,16 @@ func writeEvent(w io.Writer, fl http.Flusher, event string, v any) {
 	fl.Flush()
 }
 
-// streamGauges writes a "gauge" event for each fresh sample of lr until
-// the run finishes (lr.done closes when the simulation returns, strictly
-// before its job's done) or ctx ends.
-func streamGauges(ctx context.Context, w io.Writer, fl http.Flusher, lr *liveRun, interval time.Duration) {
-	for frame := range sampleRun(ctx, lr, interval, lr.done) {
-		writeEvent(w, fl, "gauge", frame)
-	}
-}
-
-// sampleRun polls lr's race-safe live gauge every interval on a dedicated
-// goroutine and delivers each fresh sample on the returned channel. The
-// goroutine is bound to BOTH ctx and runDone: when the client disconnects
-// mid-run, ctx cancellation tears it down even though the run is still
-// going (the unbuffered send also selects on ctx, so a reader that left
-// between frames cannot wedge it); when the run finishes first, it flushes
-// the final sample (short runs may complete between ticks) and closes the
-// channel. Either way the goroutine exits — an aborted stream never leaks
-// its sampler.
-func sampleRun(ctx context.Context, lr *liveRun, interval time.Duration, runDone <-chan struct{}) <-chan gaugeFrame {
+// sampleRun polls lr's race-safe live gauge every runStreamInterval on a
+// dedicated goroutine and delivers each fresh sample on the returned
+// channel. The goroutine is bound to BOTH ctx and lr.done: when the client
+// disconnects mid-run, ctx cancellation tears it down even though the run
+// is still going (the unbuffered send also selects on ctx, so a reader
+// that left between frames cannot wedge it); when the run finishes first,
+// it flushes the final sample (short runs may complete between ticks) and
+// closes the channel. Either way the goroutine exits — an aborted stream
+// never leaks its sampler.
+func sampleRun(ctx context.Context, lr *liveRun) <-chan gaugeFrame {
 	frames := make(chan gaugeFrame)
 	go func() {
 		defer close(frames)
@@ -1056,13 +976,13 @@ func sampleRun(ctx context.Context, lr *liveRun, interval time.Duration, runDone
 				return false
 			}
 		}
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(runStreamInterval)
 		defer tick.Stop()
 		for {
 			select {
 			case <-ctx.Done():
 				return
-			case <-runDone:
+			case <-lr.done:
 				emit()
 				return
 			case <-tick.C:

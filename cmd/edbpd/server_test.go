@@ -29,14 +29,6 @@ func testServer(t *testing.T, opts serverOptions) (*server, *httptest.Server) {
 	return s, ts
 }
 
-// jobView mirrors the job JSON without the server-side sync fields.
-type jobView struct {
-	ID     string     `json:"id"`
-	Status string     `json:"status"`
-	Result *runOutput `json:"result,omitempty"`
-	Error  string     `json:"error,omitempty"`
-}
-
 func doJSON(t *testing.T, method, url, body string, out any) int {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
@@ -94,9 +86,9 @@ func TestRunSync(t *testing.T) {
 }
 
 // TestRunValidation: a body that does not decode or has an unknown key,
-// or a config sim rejects, is a 400 bad_request at intake on the sync,
-// ?async=1 and ?stream=1 paths and as a grid cell. Nothing is queued,
-// simulated or recorded.
+// or a config sim rejects, is a 400 bad_request at intake on the sync and
+// ?stream=1 paths and as a grid cell, and so is POST /run with any query
+// parameter but stream. Nothing is queued, simulated or recorded.
 func TestRunValidation(t *testing.T) {
 	s, ts := testServer(t, serverOptions{coordinator: true})
 	var before, after runtime.MemStats
@@ -119,7 +111,7 @@ func TestRunValidation(t *testing.T) {
 		`{"app":"crc32","scale":256}`,                  // past the scale bound: ~8 GB to record
 		`{"app":"crc32","scale":0.05,"sceme":"ideal"}`, // misspelled knob: would run EDBP
 	} {
-		for _, path := range []string{"/run", "/run?async=1", "/run?stream=1", "/grid"} {
+		for _, path := range []string{"/run", "/run?stream=1", "/grid"} {
 			send := body
 			if path == "/grid" {
 				send = `{"runs":[` + body + `]}`
@@ -140,6 +132,14 @@ func TestRunValidation(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/grid", `{"runs":[{"app":"crc32","scale":0.05}],"sceds":[1,2]}`, nil); code != http.StatusBadRequest {
 		t.Errorf("POST /grid with an unknown key = %d, want 400", code)
 	}
+	// A client still sending the deleted ?async=1 gets an error, not a
+	// silent synchronous run.
+	for _, path := range []string{"/run?async=1", "/run?stream=1&async=1"} {
+		var e cluster.ErrorBody
+		if code := doJSON(t, "POST", ts.URL+path, `{"app":"crc32","scale":0.05}`, &e); code != http.StatusBadRequest || e.Code != cluster.CodeBadRequest {
+			t.Errorf("POST %s = %d %+v, want 400 with code %q", path, code, e, cluster.CodeBadRequest)
+		}
+	}
 	if n := s.nextID.Load(); n != 0 {
 		t.Errorf("%d jobs were made for rejected bodies", n)
 	}
@@ -154,83 +154,30 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestRunAsync drives a job through the queue: 202 with an id, then
-// GET /jobs/{id} until done, with the same Result JSON as the sync path.
-func TestRunAsync(t *testing.T) {
-	_, ts := testServer(t, serverOptions{workers: 1})
-
-	var j jobView
-	code := doJSON(t, "POST", ts.URL+"/run?async=1", `{"app":"crc32","scheme":"baseline","scale":0.05}`, &j)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST /run?async=1 = %d, want 202", code)
-	}
-	if j.ID == "" || (j.Status != "queued" && j.Status != "running") {
-		t.Fatalf("bad job snapshot: %+v", j)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var got jobView
-		if code := doJSON(t, "GET", ts.URL+"/jobs/"+j.ID, "", &got); code != http.StatusOK {
-			t.Fatalf("GET /jobs/%s = %d", j.ID, code)
-		}
-		if got.Status == "done" {
-			if got.Result == nil || got.Result.Instructions == 0 {
-				t.Fatalf("done job has no result: %+v", got)
-			}
-			break
-		}
-		if got.Status == "failed" {
-			t.Fatalf("job failed: %s", got.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", got.Status)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Malformed ids are client errors; well-formed-but-unknown ids are 404
-	// (TestJobIDResponseCodes pins the full matrix).
-	if code := doJSON(t, "GET", ts.URL+"/jobs/nope", "", nil); code != http.StatusBadRequest {
-		t.Errorf("GET /jobs/nope = %d, want 400", code)
-	}
-}
-
 // TestQueueBound freezes the single worker (holdJobs gate) so the depth-1
-// queue fills deterministically: worker holds job 1, job 2 queues, and
-// every further submission is a 503 until the gate opens.
+// queue fills deterministically: the worker holds one streamed run, a
+// second waits in the queue, and every further stream is a queue_full 503
+// until the gate opens; then both held streams end in their results.
 func TestQueueBound(t *testing.T) {
 	gate := make(chan struct{})
 	s, ts := testServer(t, serverOptions{queueDepth: 1, workers: 1, holdJobs: gate})
-	defer close(gate)
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // before the server's own cleanup drains it
 
-	submit := func(i int) int {
-		body := fmt.Sprintf(`{"app":"crc32","scheme":"baseline","scale":0.05,"seed":%d}`, i+1)
-		return doJSON(t, "POST", ts.URL+"/run?async=1", body, nil)
+	pending := holdStreams(t, s, ts.URL, baselineBody(1), baselineBody(2))
+	for seed := 3; seed < 6; seed++ {
+		refuseStream(t, ts.URL, baselineBody(seed), cluster.CodeQueueFull)
 	}
-	// Job 1 lands in the queue; the worker dequeues it and parks on the
-	// gate. Job 2 may either queue immediately or race the dequeue, so
-	// wait until the queue slot is actually occupied.
-	if code := submit(0); code != http.StatusAccepted {
-		t.Fatalf("submit 0 = %d", code)
+	if got := s.met.queueFull.Value(); got != 3 {
+		t.Errorf("edbpd_queue_full_total = %g, want 3", got)
 	}
-	if code := submit(1); code != http.StatusAccepted {
-		t.Fatalf("submit 1 = %d", code)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for len(s.queue) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
+	release()
+	for i := 0; i < 2; i++ {
+		if r := <-pending; r.err != nil || r.code != http.StatusOK {
+			t.Errorf("held stream = %d, %v", r.code, r.err)
+		} else if last, _ := terminalFrame(t, r.events); last.name != "result" {
+			t.Errorf("held stream ended with %s %s, want its result", last.name, last.data)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := 2; i < 5; i++ {
-		if code := submit(i); code != http.StatusServiceUnavailable {
-			t.Errorf("submit %d = %d, want 503 while the queue is full", i, code)
-		}
-	}
-	if s.met.queueFull.Value() == 0 {
-		t.Error("edbpd_queue_full_total not incremented")
 	}
 }
 
@@ -270,22 +217,24 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// TestDrain: draining flips healthz to 503, rejects new runs, and finishes
-// queued jobs before returning.
+// TestDrain: draining flips healthz to 503, rejects new runs, and lets a
+// streamed run queued before it finish with its result frame.
 func TestDrain(t *testing.T) {
-	s := newServer(serverOptions{workers: 1})
+	gate := make(chan struct{})
+	s := newServer(serverOptions{workers: 1, holdJobs: gate})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var j jobView
-	if code := doJSON(t, "POST", ts.URL+"/run?async=1", `{"app":"crc32","scheme":"baseline","scale":0.05}`, &j); code != http.StatusAccepted {
-		t.Fatalf("submit = %d", code)
-	}
-
+	pending := holdStreams(t, s, ts.URL, baselineBody(1))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	for !s.draining.Load() {
+		if ctx.Err() != nil {
+			t.Fatal("Drain never started")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	if code := doJSON(t, "GET", ts.URL+"/healthz", "", nil); code != http.StatusServiceUnavailable {
@@ -295,11 +244,17 @@ func TestDrain(t *testing.T) {
 		t.Errorf("POST /run while drained = %d, want 503", code)
 	}
 
-	// The queued job must have completed, not been dropped.
-	var got jobView
-	doJSON(t, "GET", ts.URL+"/jobs/"+j.ID, "", &got)
-	if got.Status != "done" {
-		t.Errorf("queued job finished as %q, want done", got.Status)
+	// The queued run must complete, not be dropped.
+	close(gate)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	r := <-pending
+	if r.err != nil || r.code != http.StatusOK {
+		t.Fatalf("queued stream = %d, %v", r.code, r.err)
+	}
+	if last, _ := terminalFrame(t, r.events); last.name != "result" {
+		t.Errorf("queued stream ended with %s %s, want its result", last.name, last.data)
 	}
 
 	// Drain is idempotent.
@@ -361,10 +316,48 @@ func terminalFrame(t *testing.T, events []sseEvent) (sseEvent, int) {
 	return last, len(events) - 1
 }
 
+// baselineBody is a small Baseline run's body; seeds make distinct runs.
+func baselineBody(seed int) string {
+	return fmt.Sprintf(`{"app":"crc32","scheme":"baseline","scale":0.05,"seed":%d}`, seed)
+}
+
+// streamed is the outcome of one POST /run?stream=1.
+type streamed struct {
+	code   int
+	events []sseEvent
+	err    error
+}
+
+// holdStreams posts one streamed run per body, in order, to a server
+// whose one worker is frozen (holdJobs): the worker holds the first job
+// and the queue the rest. It returns once the server holds them all; each
+// stream's outcome arrives on the channel when the stream ends.
+func holdStreams(t *testing.T, s *server, url string, bodies ...string) <-chan streamed {
+	t.Helper()
+	out := make(chan streamed, len(bodies))
+	for i, body := range bodies {
+		go func() {
+			code, events, _, err := postStream(context.Background(), url, body)
+			out <- streamed{code, events, err}
+		}()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			held := 0
+			s.jobs.Range(func(_, _ any) bool { held++; return true })
+			if held == i+1 && len(s.queue) == i {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("stream %d never held (%d jobs held, %d queued)", i, held, len(s.queue))
+			}
+		}
+	}
+	return out
+}
+
 // TestRunStream drives POST /run?stream=1: fresh runs stream gauge frames
 // and then their Result, a cache hit streams just the Result, a bad body
-// is a coded 400, and a streamed job leaves s.jobs once its stream ends
-// while an async job is kept for GET /jobs/{id}.
+// is a coded 400, and a streamed job leaves s.jobs once its stream ends.
+// TestStreamSSE checks the gauge frames themselves.
 func TestRunStream(t *testing.T) {
 	s, ts := testServer(t, serverOptions{workers: 1})
 	ctx := context.Background()
@@ -404,108 +397,53 @@ func TestRunStream(t *testing.T) {
 		t.Errorf("%d streamed jobs still held after %d finished streams", left, n+1)
 	}
 
-	var j jobView
-	if code := doJSON(t, "POST", ts.URL+"/run?async=1", `{"app":"crc32","scheme":"edbp","scale":0.05,"seed":9}`, &j); code != http.StatusAccepted {
-		t.Fatalf("async submit = %d", code)
-	}
-	waitForJob(t, ts.URL, j.ID)
-	if _, ok := s.jobs.Load(j.ID); !ok {
-		t.Error("a finished async job was freed; GET /jobs/{id} needs it")
-	}
-
 	code, _, e, err := postStream(ctx, ts.URL, `not json`)
 	if err != nil || code != http.StatusBadRequest || e.Code != cluster.CodeBadRequest || e.Error == "" {
 		t.Errorf("bad stream body = %d %+v (%v), want 400 with code %q", code, e, err, cluster.CodeBadRequest)
 	}
 }
 
-// TestRunStreamErrorFrames pins the coded failures of a streamed run: a
-// run past its deadline ends in a "timeout" error frame; with the worker
-// frozen, a full queue is a queue_full 503 and a draining server a
-// draining 503, each with Retry-After; and runs a drain gives up on end in
-// a "drain_aborted" error frame.
-func TestRunStreamErrorFrames(t *testing.T) {
-	ctx := context.Background()
-	body := func(seed int) string {
-		return fmt.Sprintf(`{"app":"crc32","scheme":"baseline","scale":0.05,"seed":%d}`, seed)
+// errorFrame checks that a run stream ends in an "error" frame and returns
+// its error JSON.
+func errorFrame(t *testing.T, events []sseEvent) cluster.ErrorBody {
+	t.Helper()
+	last, _ := terminalFrame(t, events)
+	var e cluster.ErrorBody
+	if last.name != "error" || json.Unmarshal(last.data, &e) != nil {
+		t.Fatalf("stream ended with %s %s, want an error frame", last.name, last.data)
 	}
-	errorFrame := func(events []sseEvent) cluster.ErrorBody {
-		t.Helper()
-		last, _ := terminalFrame(t, events)
-		var e cluster.ErrorBody
-		if last.name != "error" || json.Unmarshal(last.data, &e) != nil {
-			t.Fatalf("stream ended with %s %s, want an error frame", last.name, last.data)
-		}
-		return e
-	}
+	return e
+}
 
+// refuseStream posts a streamed run the server must refuse with a 503
+// carrying code want and a Retry-After header.
+func refuseStream(t *testing.T, url, body, want string) {
+	t.Helper()
+	resp, err := http.Post(url+"/run?stream=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e cluster.ErrorBody
+	json.NewDecoder(resp.Body).Decode(&e)
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != want || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("refused stream = %d %+v (Retry-After %q), want 503 with code %q",
+			resp.StatusCode, e, resp.Header.Get("Retry-After"), want)
+	}
+}
+
+// TestRunStreamErrorFrames pins the coded failure of a streamed run past
+// its deadline: a "timeout" error frame. TestQueueBound and
+// TestDrainAbortMarksPendingFailed pin the queue_full and draining
+// refusals and the "drain_aborted" frame.
+func TestRunStreamErrorFrames(t *testing.T) {
 	_, hasty := testServer(t, serverOptions{workers: 1, runTimeout: time.Nanosecond})
-	code, events, _, err := postStream(ctx, hasty.URL, body(1))
+	code, events, _, err := postStream(context.Background(), hasty.URL, baselineBody(1))
 	if err != nil || code != http.StatusOK {
 		t.Fatalf("POST /run?stream=1 = %d, %v", code, err)
 	}
-	if e := errorFrame(events); e.Code != cluster.CodeTimeout {
+	if e := errorFrame(t, events); e.Code != cluster.CodeTimeout {
 		t.Errorf("timed-out run's error frame = %+v, want code %q", e, cluster.CodeTimeout)
-	}
-
-	gate := make(chan struct{})
-	s, ts := testServer(t, serverOptions{queueDepth: 1, workers: 1, holdJobs: gate})
-	release := sync.OnceFunc(func() { close(gate) })
-	t.Cleanup(release) // before the server's own cleanup drains it
-	type streamed struct {
-		code   int
-		events []sseEvent
-		err    error
-	}
-	pending := make(chan streamed, 2)
-	for seed := 1; seed <= 2; seed++ {
-		go func(seed int) {
-			code, events, _, err := postStream(ctx, ts.URL, body(seed))
-			pending <- streamed{code, events, err}
-		}(seed)
-	}
-	// One job parks in the frozen worker, the other fills the queue.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		held := 0
-		s.jobs.Range(func(_, _ any) bool { held++; return true })
-		if held == 2 && len(s.queue) == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("streamed jobs never filled the worker and queue (%d held)", held)
-		}
-	}
-	refuse := func(want string) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/run?stream=1", "application/json", strings.NewReader(body(3)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var e cluster.ErrorBody
-		json.NewDecoder(resp.Body).Decode(&e)
-		if resp.StatusCode != http.StatusServiceUnavailable || e.Code != want || resp.Header.Get("Retry-After") == "" {
-			t.Errorf("refused stream = %d %+v (Retry-After %q), want 503 with code %q",
-				resp.StatusCode, e, resp.Header.Get("Retry-After"), want)
-		}
-	}
-	refuse(cluster.CodeQueueFull)
-
-	dctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-	err = s.Drain(dctx)
-	cancel()
-	if err == nil {
-		t.Fatal("drain with a frozen worker returned nil")
-	}
-	refuse(cluster.CodeDraining)
-	for i := 0; i < 2; i++ {
-		r := <-pending
-		if r.err != nil || r.code != http.StatusOK {
-			t.Fatalf("pending stream = %d, %v", r.code, r.err)
-		}
-		if e := errorFrame(r.events); e.Code != cluster.CodeDrainAborted {
-			t.Errorf("drain-aborted run's error frame = %+v, want code %q", e, cluster.CodeDrainAborted)
-		}
 	}
 }
 
@@ -542,5 +480,38 @@ func TestRunStreamClientGone(t *testing.T) {
 	}
 	if got := s.met.runsOK.Value(); got != 0 {
 		t.Errorf("runs_ok = %g: the abandoned job was simulated", got)
+	}
+}
+
+// TestResultCacheBound: the result cache holds maxGridEntries results and
+// evicts the oldest first; storing a key it holds takes no new slot.
+func TestResultCacheBound(t *testing.T) {
+	var c resultCache
+	key := func(i int) string { return fmt.Sprintf("key-%d", i) }
+	for i := 0; i <= maxGridEntries; i++ {
+		c.put(key(i), &runOutput{Instructions: uint64(i)})
+	}
+	if _, ok := c.get(key(0)); ok {
+		t.Error("the oldest result outlived the bound")
+	}
+	for _, i := range []int{1, maxGridEntries / 2, maxGridEntries} {
+		if out, ok := c.get(key(i)); !ok || out.Instructions != uint64(i) {
+			t.Errorf("result %d = %+v, %v; want it kept", i, out, ok)
+		}
+	}
+	if n := len(c.byKey); n != maxGridEntries {
+		t.Errorf("cache holds %d results, want %d", n, maxGridEntries)
+	}
+
+	c.put(key(maxGridEntries), &runOutput{})
+	if _, ok := c.get(key(1)); !ok {
+		t.Error("re-storing a held key evicted the oldest result")
+	}
+	c.put(key(maxGridEntries+1), &runOutput{})
+	if _, ok := c.get(key(1)); ok {
+		t.Error("a new key past the bound did not evict the oldest result")
+	}
+	if _, ok := c.get(key(2)); !ok {
+		t.Error("a new key past the bound evicted more than the oldest result")
 	}
 }

@@ -13,38 +13,6 @@ import (
 	"edbp/internal/store"
 )
 
-// TestJobIDResponseCodes pins the /jobs/{id} status-code contract:
-// malformed ids (shapes this server never issues) are 400, well-formed but
-// unknown ids are 404, live ids are 200.
-func TestJobIDResponseCodes(t *testing.T) {
-	_, ts := testServer(t, serverOptions{})
-
-	var accepted jobView
-	if code := doJSON(t, "POST", ts.URL+"/run?async=1", `{"app":"crc32","scheme":"edbp","scale":0.05}`, &accepted); code != http.StatusAccepted {
-		t.Fatalf("POST /run?async=1 = %d, want 202", code)
-	}
-
-	for _, tc := range []struct {
-		id   string
-		want int
-	}{
-		{accepted.ID, http.StatusOK},
-		{"job-999999", http.StatusNotFound},
-		{"nope", http.StatusBadRequest},
-		{"job-", http.StatusBadRequest},
-		{"job-0", http.StatusBadRequest},
-		{"job-12x", http.StatusBadRequest},
-		{"job--1", http.StatusBadRequest},
-		{"JOB-1", http.StatusBadRequest},
-	} {
-		t.Run(tc.id, func(t *testing.T) {
-			if code := doJSON(t, "GET", ts.URL+"/jobs/"+url.PathEscape(tc.id), "", nil); code != tc.want {
-				t.Errorf("GET /jobs/%s = %d, want %d", tc.id, code, tc.want)
-			}
-		})
-	}
-}
-
 func storeServer(t *testing.T) (*server, *httptest2, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{})

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -510,37 +511,26 @@ func (b *syncBuffer) String() string {
 
 // Test5xxEmitsStructuredLog pins the satellite guarantee: every 5xx
 // response produces exactly one structured error line carrying the
-// request's trace ID. A full queue (503) is the deterministic trigger.
+// request's trace ID. A drained server's 503 is the deterministic trigger.
 func Test5xxEmitsStructuredLog(t *testing.T) {
 	sink := &syncBuffer{}
 	logger, err := olog.New(olog.Options{Component: "edbpd", Format: "json", Node: "n1", W: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := make(chan struct{})
-	_, ts := testServer(t, serverOptions{queueDepth: 1, workers: 1, holdJobs: gate, logger: logger})
-	defer close(gate)
-
-	// Saturate: worker 1 holds the first job, the depth-1 queue holds the
-	// second, so a submission must hit "queue full" within a few tries.
-	var rejected *http.Response
-	for i := 0; i < 20 && rejected == nil; i++ {
-		resp, err := http.Post(ts.URL+"/run?async=1", "application/json",
-			strings.NewReader(`{"app":"crc32","scheme":"edbp","scale":0.05}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			rejected = resp
-		} else if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submission %d = %d", i, resp.StatusCode)
-		}
-		time.Sleep(2 * time.Millisecond)
+	s, ts := testServer(t, serverOptions{logger: logger})
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if rejected == nil {
-		t.Fatal("queue never filled")
+	rejected, err := http.Post(ts.URL+"/run?stream=1", "application/json",
+		strings.NewReader(`{"app":"crc32","scheme":"edbp","scale":0.05}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, rejected.Body)
+	rejected.Body.Close()
+	if rejected.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stream to a drained server = %d, want 503", rejected.StatusCode)
 	}
 	tp, ok := span.ParseTraceparent(rejected.Header.Get(span.Header))
 	if !ok {

@@ -48,8 +48,8 @@ type Recorder struct {
 }
 
 // liveGauge publishes the most recent gauge sample through atomics so a
-// *different* goroutine (edbpd's GET /stream SSE handler) can watch an
-// in-flight run. It is a seqlock built entirely from atomic operations:
+// *different* goroutine (the sampler behind edbpd's POST /run?stream=1)
+// can watch an in-flight run. It is a seqlock built entirely from atomic operations:
 // seq is odd while a publish is in flight, and readers retry until they
 // observe the same even seq on both sides of the field copy, so a torn
 // sample is never returned and the race detector stays quiet. Publishing
@@ -215,7 +215,7 @@ func (r *Recorder) AddSample(s Sample) {
 // count of samples published so far (0 means none yet: the returned
 // Sample is then the zero value). Unlike every other Recorder method it
 // is safe to call concurrently with the recording goroutine — edbpd's
-// GET /stream handler polls it against an in-flight run. A StartRun
+// run stream (POST /run?stream=1) polls it against an in-flight run. A StartRun
 // resets the count to zero.
 func (r *Recorder) LatestSample() (Sample, uint64) {
 	return r.live.read()
