@@ -29,7 +29,6 @@ type clusterMetrics struct {
 	coord       cluster.Metrics
 	grids       *obs.Counter
 	gridEntries *obs.Counter
-	gridFailed  *obs.Counter
 }
 
 // initCluster wires coordinator mode into the server: membership, the
@@ -51,13 +50,13 @@ func (s *server) initCluster() {
 				"Workers marked dead by a failed dispatch."),
 			Frames: s.reg.Counter("edbpd_cluster_frames_total",
 				"SSE gauge frames relayed from workers into grid streams."),
+			Failed: s.reg.Counter("edbpd_grid_entries_failed_total",
+				"Grid cells that exhausted retry-with-exclusion and failed."),
 		},
 		grids: s.reg.Counter("edbpd_grids_total",
 			"Sharded grids accepted via POST /grid."),
 		gridEntries: s.reg.Counter("edbpd_grid_entries_total",
 			"Grid cells dispatched across all grids."),
-		gridFailed: s.reg.Counter("edbpd_grid_entries_failed_total",
-			"Grid cells that exhausted retry-with-exclusion and failed."),
 	}
 	s.reg.GaugeFunc("edbpd_cluster_workers",
 		"Live (routable) workers registered with this coordinator.",
@@ -276,9 +275,6 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case <-g.Done():
-		if failed := g.Summary().Failed; failed > 0 {
-			s.cmet.gridFailed.Add(float64(failed))
-		}
 		writeJSON(w, http.StatusOK, gridViewOf(g))
 	case <-r.Context().Done():
 		// The client gave up; the grid keeps running and stays pollable.

@@ -606,3 +606,46 @@ func TestGridRecordsBound(t *testing.T) {
 		t.Errorf("finished grid %s = %d %+v, want 200 with its one cell done", inFlight.ID, code, view.Summary)
 	}
 }
+
+// TestGridFailuresCounted: edbpd_grid_entries_failed_total counts every
+// failed grid cell once, by the time the grid reports it failed, whether
+// or not a client waits on the grid.
+func TestGridFailuresCounted(t *testing.T) {
+	coord := newClusterCoordinator(t)
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close() // its address now refuses connections
+	failed := coord.srv.cmet.coord.Failed
+	const grid = `{"base":{"app":"crc32","scale":0.05},"schemes":["baseline","edbp","decay"],"seeds":[%d]}`
+
+	joinWorker(t, coord, "gone", gone.URL)
+	var accepted struct {
+		ID string `json:"id"`
+	}
+	if code := doJSON(t, "POST", coord.ts.URL+"/grid", fmt.Sprintf(grid, 1), &accepted); code != http.StatusAccepted {
+		t.Fatalf("POST /grid = %d", code)
+	}
+	var view gridView
+	for deadline := time.Now().Add(30 * time.Second); view.Summary.Failed < 3; time.Sleep(5 * time.Millisecond) {
+		if code := doJSON(t, "GET", coord.ts.URL+"/grid/"+accepted.ID, "", &view); code != http.StatusOK {
+			t.Fatalf("GET /grid/%s = %d", accepted.ID, code)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("grid never failed its 3 cells: %+v", view.Summary)
+		}
+	}
+	if got := failed.Value(); got != 3 {
+		t.Errorf("after a 3-cell grid failed without wait, the counter reads %g, want 3", got)
+	}
+
+	// The failed dispatches marked the worker dead; rejoin it.
+	joinWorker(t, coord, "gone", gone.URL)
+	if code := doJSON(t, "POST", coord.ts.URL+"/grid?wait=1", fmt.Sprintf(grid, 2), &view); code != http.StatusOK {
+		t.Fatalf("POST /grid?wait=1 = %d", code)
+	}
+	if view.Summary.Failed != 3 {
+		t.Fatalf("waited grid summary %+v, want 3 failed", view.Summary)
+	}
+	if got := failed.Value(); got != 6 {
+		t.Errorf("after a second 3-cell grid failed under ?wait=1, the counter reads %g, want 6", got)
+	}
+}

@@ -22,26 +22,27 @@ func requestConfig(body string) (sim.Config, error) {
 // under, of the Config edbpd builds from each request body. A body's hash
 // moving orphans every stored run of that config, so these change only
 // with a change meant to move store keys. Spellings of one scheme, trace
-// or policy name one config.
+// or policy name one config, and a body without cap_uf hashes as the
+// config sim.Default builds, which the library and cmd/experiments run.
 func TestRequestConfigHash(t *testing.T) {
 	const (
-		crc32EDBP    = "5f596d98d028308bc055c5a1fccb2f5dbe4409f6c3735df74134220cdf950179"
-		crc32Default = "546d1475cebf82ef1043a004ee59ab2f55ff61757a6d69932b2a12ee0a329a3c"
-		crc32Decay   = "7112f2d769bef98f7d3b9eb2cc4f5c5f7f19f26af5ec1022c313acff110f6981"
+		crc32EDBP    = "12ba532825d7796b66ec1b1cd67eefe62ae657613984d5b0008c3f69f89658b4"
+		crc32Default = "b673f48c4c969da4f6d264ed7bd327de9cbfbcfa5062d4ec6fa89d268040b1da"
+		crc32Decay   = "5f81e5943a50e10c0e0ee12baf386bbf99611f5848ce3a12a98c418de2ebe2fa"
 	)
 	for _, tc := range []struct{ body, hash string }{
 		{`{"app":"crc32","scheme":"edbp","scale":0.05}`, crc32EDBP},
 		{`{"app":"crc32"}`, crc32Default},
-		// An omitted cap_uf converts like an explicit 0.47.
+		// An omitted cap_uf is Default's 0.47 µF, exactly.
 		{`{"app":"crc32","cap_uf":0.47}`, crc32Default},
 		// Every non-boolean field set.
 		{`{"app":"sha","scheme":"amc+edbp","trace":"Thermal","scale":0.25,"seed":7,"cache_bytes":8192,` +
 			`"cache_ways":8,"policy":"DRRIP","nvm":"STTRAM","mem_mb":64,"cap_uf":1.5}`,
 			"64846f191930ba164b0c12b4cdd306d03879c07a4e6fedc01f7364ed46e4b1c4"},
 		{`{"app":"crc32","scale":0.05,"leak80off":true}`,
-			"814623103b58f54f09f313f1643a5eb7bd24481ba21d1315cd640a492a6cb5af"},
+			"c3ae97711cd5b5bfc0837774be08adef1318dc2da195cba4e3a945f121bbd411"},
 		{`{"app":"crc32","scale":0.05,"icache_sram":true,"predict_icache":true}`,
-			"3a9ea0daadc9d744f89625c2e13dd1586c162265cb86327765c594545bdc89b7"},
+			"1686faddd0618a190c6fabd06e4df1e7ff0136c44e004ad72df15a26ad5c94c0"},
 		// Alias spellings.
 		{`{"app":"crc32","scheme":"decay","scale":0.05}`, crc32Decay},
 		{`{"app":"crc32","scheme":"cachedecay","scale":0.05}`, crc32Decay},

@@ -21,81 +21,44 @@ import (
 	"errors"
 	"fmt"
 
-	"edbp/internal/cache"
-	"edbp/internal/energy"
-	"edbp/internal/nvm"
 	"edbp/internal/sim"
 	"edbp/internal/workload"
 )
 
 // Scheme selects the predictor configuration, mirroring the paper's
-// evaluation (Section VI-A1).
-type Scheme int
+// evaluation (Section VI-A1). It is the simulator's own scheme type.
+type Scheme = sim.Scheme
 
 const (
 	// Baseline is NVSRAMCache with no dead block prediction.
-	Baseline Scheme = iota
+	Baseline = sim.Baseline
 	// SDBP filters the JIT checkpoint with dead block prediction [44].
-	SDBP
+	SDBP = sim.SDBP
 	// CacheDecay is Cache Decay [32] on the data cache.
-	CacheDecay
+	CacheDecay = sim.Decay
 	// AMC is Adaptive Mode Control [74] on the data cache.
-	AMC
+	AMC = sim.AMC
 	// EDBP is the paper's zombie block predictor alone.
-	EDBP
+	EDBP = sim.EDBP
 	// CacheDecayEDBP combines Cache Decay with EDBP — the paper's
 	// headline configuration.
-	CacheDecayEDBP
+	CacheDecayEDBP = sim.DecayEDBP
 	// AMCEDBP combines AMC with EDBP (Section VII-A).
-	AMCEDBP
+	AMCEDBP = sim.AMCEDBP
 	// Counting is the counting-based dead block predictor [34].
-	Counting
+	Counting = sim.Counting
 	// RefTrace is the trace-based dead block predictor [38].
-	RefTrace
+	RefTrace = sim.RefTrace
 	// CountingEDBP combines the counting-based predictor with EDBP.
-	CountingEDBP
+	CountingEDBP = sim.CountingEDBP
 	// RefTraceEDBP combines RefTrace with EDBP.
-	RefTraceEDBP
+	RefTraceEDBP = sim.RefTraceEDBP
 	// Ideal is the oracle bound of Figure 8 (two-pass replay).
-	Ideal
+	Ideal = sim.Ideal
 )
 
 // Schemes lists every scheme in presentation order.
 var Schemes = []Scheme{Baseline, SDBP, CacheDecay, AMC, Counting, RefTrace, EDBP, CacheDecayEDBP, AMCEDBP, CountingEDBP, RefTraceEDBP, Ideal}
-
-// String implements fmt.Stringer.
-func (s Scheme) String() string { return s.internal().String() }
-
-func (s Scheme) internal() sim.Scheme {
-	switch s {
-	case Baseline:
-		return sim.Baseline
-	case SDBP:
-		return sim.SDBP
-	case CacheDecay:
-		return sim.Decay
-	case AMC:
-		return sim.AMC
-	case EDBP:
-		return sim.EDBP
-	case CacheDecayEDBP:
-		return sim.DecayEDBP
-	case AMCEDBP:
-		return sim.AMCEDBP
-	case Counting:
-		return sim.Counting
-	case RefTrace:
-		return sim.RefTrace
-	case CountingEDBP:
-		return sim.CountingEDBP
-	case RefTraceEDBP:
-		return sim.RefTraceEDBP
-	case Ideal:
-		return sim.Ideal
-	default:
-		return sim.Baseline
-	}
-}
 
 // Config describes one simulation. The zero value of every field selects
 // the paper's Table II default.
@@ -120,10 +83,10 @@ type Config struct {
 
 	// NVM is the main-memory technology: ReRAM (default), FeRAM, STTRAM.
 	NVM string
-	// MemoryBytes sizes the main memory (default 16 MiB).
-	MemoryBytes int64
-	// CapacitorFarads sizes the energy buffer (default 0.47 µF).
-	CapacitorFarads float64
+	// MemoryMB sizes the main memory in MB (default 16).
+	MemoryMB int64
+	// CapacitorUF sizes the energy buffer in µF (default 0.47).
+	CapacitorUF float64
 
 	// SRAMICache switches to the Section VI-I baseline (volatile SRAM
 	// instruction cache); PredictICache additionally applies the scheme's
@@ -131,9 +94,9 @@ type Config struct {
 	SRAMICache    bool
 	PredictICache bool
 
-	// LeakFactor scales data-cache leakage (0.2 = the paper's "80%
-	// Leakage Off" magic runs; 0 means 1.0).
-	LeakFactor float64
+	// Leak80Off cuts data-cache leakage by 80%, the paper's "80% Leakage
+	// Off" magic runs.
+	Leak80Off bool
 	// ZombieProfile collects the Figure 4 zombie-vs-voltage profile.
 	ZombieProfile bool
 }
@@ -286,76 +249,30 @@ func RunAllContext(ctx context.Context, c Config, schemes ...Scheme) ([]*Result,
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("edbp: RunAll needs at least one scheme")
 	}
-	cfg, err := c.internal()
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*Result, len(schemes))
 	for i, s := range schemes {
-		run := cfg
-		run.Scheme = s.internal()
-		cc := c
-		cc.Scheme = s
-		res, err := sim.RunContext(ctx, run)
+		c.Scheme = s
+		r, err := RunContext(ctx, c)
 		if err != nil {
-			return nil, translate(cc, err)
+			return nil, err
 		}
-		out[i] = wrap(cc, res)
+		out[i] = r
 	}
 	return out, nil
 }
 
+// internal builds the run's sim.Config through sim.Knobs, the builder
+// edbpd and edbpsim use, so one simulation has one ConfigHash whichever
+// front door ran it.
 func (c Config) internal() (sim.Config, error) {
-	if c.App == "" {
-		return sim.Config{}, fmt.Errorf("edbp: Config.App is required (see edbp.Apps())")
-	}
-	cfg := sim.Default(c.App, c.Scheme.internal())
-	if c.Scale != 0 {
-		cfg.Scale = c.Scale
-	}
-	if c.EnergyTrace != "" {
-		kind, err := energy.ParseTraceKind(c.EnergyTrace)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		cfg.TraceKind = kind
-	}
-	if c.Seed != 0 {
-		cfg.SourceSeed = c.Seed
-	}
-	if c.CacheBytes != 0 {
-		cfg.DCacheBytes = c.CacheBytes
-	}
-	if c.CacheWays != 0 {
-		cfg.DCacheWays = c.CacheWays
-	}
-	if c.Policy != "" {
-		pol, err := cache.ParsePolicy(c.Policy)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		cfg.DCachePolicy = pol
-	}
-	if c.NVM != "" {
-		tech, err := nvm.ParseTech(c.NVM)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		cfg.MemTech = tech
-	}
-	if c.MemoryBytes != 0 {
-		cfg.MemBytes = c.MemoryBytes
-	}
-	if c.CapacitorFarads != 0 {
-		cfg.Capacitor.Capacitance = c.CapacitorFarads
-	}
-	cfg.ICacheSRAM = c.SRAMICache
-	cfg.PredictICache = c.PredictICache
-	if c.LeakFactor != 0 {
-		cfg.DCacheLeakFactor = c.LeakFactor
-	}
+	cfg, err := sim.Knobs{
+		App: c.App, Scheme: c.Scheme.String(), Trace: c.EnergyTrace, Scale: c.Scale, Seed: c.Seed,
+		CacheBytes: c.CacheBytes, CacheWays: c.CacheWays, Policy: c.Policy,
+		NVM: c.NVM, MemMB: c.MemoryMB, CapUF: c.CapacitorUF,
+		ICacheSRAM: c.SRAMICache, PredictICache: c.PredictICache, Leak80Off: c.Leak80Off,
+	}.Config()
 	cfg.CollectZombieProfile = c.ZombieProfile
-	return cfg, nil
+	return cfg, err
 }
 
 func wrap(c Config, r *sim.Result) *Result {

@@ -1,8 +1,16 @@
 package edbp
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"edbp/internal/experiments"
+	"edbp/internal/sim"
+	"edbp/internal/store"
 )
 
 func TestApps(t *testing.T) {
@@ -72,18 +80,85 @@ func TestRunAllRejectsBeforeRecording(t *testing.T) {
 	}
 }
 
+// TestConfigErrors: every config the simulator cannot run, a scheme
+// outside the enum and a capacitance that is not a positive finite µF
+// value included, is a *sim.ConfigError naming its field, never a panic
+// or a silent default.
 func TestConfigErrors(t *testing.T) {
-	cases := []Config{
-		{},                                  // no app
-		{App: "nope"},                       // unknown app
-		{App: "crc32", EnergyTrace: "wind"}, // unknown trace
-		{App: "crc32", Policy: "MRU"},       // unknown policy
-		{App: "crc32", NVM: "DRAM"},         // unknown tech
-	}
-	for i, c := range cases {
-		if _, err := Run(c); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+	for _, tc := range []struct {
+		c     Config
+		field string
+	}{
+		{Config{}, "App"},
+		{Config{App: "nope"}, "App"},
+		{Config{App: "crc32", EnergyTrace: "wind"}, "TraceKind"},
+		{Config{App: "crc32", Policy: "MRU"}, "DCachePolicy"},
+		{Config{App: "crc32", NVM: "DRAM"}, "MemTech"},
+		{Config{App: "crc32", Scheme: Scheme(99)}, "Scheme"},
+		{Config{App: "crc32", CapacitorUF: math.NaN()}, "Capacitor"},
+		{Config{App: "crc32", CapacitorUF: math.Inf(1)}, "Capacitor"},
+		{Config{App: "crc32", CapacitorUF: math.Inf(-1)}, "Capacitor"},
+		{Config{App: "crc32", CapacitorUF: -0.47}, "Capacitor"},
+	} {
+		_, err := Run(tc.c)
+		var ce *sim.ConfigError
+		if !errors.As(err, &ce) || ce.Field != tc.field {
+			t.Errorf("%+v: error %v, want a %s *sim.ConfigError", tc.c, err, tc.field)
 		}
+	}
+}
+
+// TestOneRunIdentity: the library, a run request's knobs and the
+// experiments' base config build one Config for one run, so runs made
+// through sim.Knobs alone rebuild Figure 6 from the store byte for byte.
+func TestOneRunIdentity(t *testing.T) {
+	lib, err := Config{App: "crc32", Scheme: EDBP, Scale: 0.05}.internal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	knobs, err := sim.Knobs{App: "crc32", Scheme: "edbp", Scale: 0.05}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sim.Default("crc32", sim.EDBP)
+	base.Scale = 0.05
+	if h, hl, hk := sim.ConfigHash(base), sim.ConfigHash(lib), sim.ConfigHash(knobs); hl != h || hk != h {
+		t.Errorf("ConfigHash: sim.Default %s, edbp.Config %s, sim.Knobs %s", h, hl, hk)
+	}
+
+	s, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, scheme := range []string{"decay", "edbp", "decay+edbp"} {
+		cfg, err := sim.Knobs{App: "crc32", Scheme: scheme, Scale: 0.05}.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutResult(store.KeyFor(cfg, "c1"), res, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	opts := experiments.Options{Apps: []string{"crc32"}, Scale: 0.05, Seeds: 1}
+	stored, err := s.Reconstruct(ctx, "fig6", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := experiments.Figure6(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	live.Print(&want)
+	stored.Print(&got)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("Figure 6 from knob-built runs:\n%s\nlive:\n%s", got.String(), want.String())
 	}
 }
 
@@ -115,7 +190,7 @@ func TestKnobsReachSimulator(t *testing.T) {
 		t.Fatalf("256 B cache (%.3f) must miss more than 4 kB (%.3f)",
 			small.CacheMissRate, large.CacheMissRate)
 	}
-	bigCap, err := Run(Config{App: "sha", Scale: 0.1, CapacitorFarads: 47e-6})
+	bigCap, err := Run(Config{App: "sha", Scale: 0.1, CapacitorUF: 47})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func main() {
 	fmt.Println("== capacitor size (Figure 16) ==")
 	fmt.Printf("%-10s %12s %12s %10s %8s\n", "capacitor", "outages", "EDBP speedup", "combined", "gain")
 	for _, uf := range []float64{0.47, 4.7, 47, 100} {
-		cfg := edbp.Config{App: app, CapacitorFarads: uf * 1e-6}
+		cfg := edbp.Config{App: app, CapacitorUF: uf}
 		rs, err := edbp.RunAll(cfg, edbp.Baseline, edbp.EDBP, edbp.CacheDecayEDBP)
 		if err != nil {
 			log.Fatal(err)

@@ -105,6 +105,7 @@ type Metrics struct {
 	Retries    *obs.Counter    // re-dispatches after a worker failure
 	Deaths     *obs.Counter    // workers marked dead by a failed dispatch
 	Frames     *obs.Counter    // SSE gauge frames relayed from workers
+	Failed     *obs.Counter    // grid cells that ended failed
 }
 
 func (m *Metrics) dispatched(node string) {
@@ -128,6 +129,12 @@ func (m *Metrics) died() {
 func (m *Metrics) framed() {
 	if m != nil {
 		m.Frames.Inc()
+	}
+}
+
+func (m *Metrics) cellFailed() {
+	if m != nil {
+		m.Failed.Inc()
 	}
 }
 

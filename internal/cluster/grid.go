@@ -90,12 +90,15 @@ func (c *Coordinator) StartGrid(ctx context.Context, id string, entries []GridEn
 			}
 			result, node, attempts, err := c.Execute(gctx, e.Key, e.Body, onEvent)
 			var terminal EntryStatus
+			// A failed cell is counted under the grid lock, so whoever
+			// reads it failed (Summary, Done) reads it counted.
 			g.setStatus(st, func() {
 				st.Node = node
 				st.Attempts = attempts
 				if err != nil {
 					st.Status = "failed"
 					st.Error = err.Error()
+					c.Metrics.cellFailed()
 				} else {
 					st.Status = "done"
 					st.Result = result

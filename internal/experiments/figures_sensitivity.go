@@ -170,7 +170,7 @@ func Figure16(ctx context.Context, o Options) (*Table, error) {
 		labels[i] = fmt.Sprintf("%gµF", c)
 	}
 	t, err := ts.sensitivity(ctx, "Figure 16", "Sensitivity: capacitor size", "capacitor", labels,
-		func(c *sim.Config, vi int) { c.Capacitor.Capacitance = capSizes[vi] * 1e-6 })
+		func(c *sim.Config, vi int) { c.Capacitor.Capacitance = sim.Farads(capSizes[vi]) })
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"strconv"
+	"strings"
 
 	"edbp/internal/cache"
 	"edbp/internal/energy"
@@ -34,9 +36,10 @@ type Knobs struct {
 
 // Config builds the run's Config from Default and validates it as
 // RunContext would, so every rejection is a *ConfigError before the run
-// is queued. The Config is returned un-normalized: its ConfigHash is the
-// run's identity (internal/store keys by it), and spellings of one
-// setting build one Config.
+// is queued. It is the one builder of a run's Config from its settings:
+// the library, edbpd and edbpsim all call it. The Config is returned
+// un-normalized: its ConfigHash is the run's identity (internal/store
+// keys by it), and spellings of one setting build one Config.
 func (k Knobs) Config() (Config, error) {
 	scheme := EDBP
 	var err error
@@ -79,14 +82,9 @@ func (k Knobs) Config() (Config, error) {
 		}
 		cfg.MemBytes = k.MemMB << 20
 	}
-	// Capacitance always goes through the µF conversion, the default too:
-	// 0.47 µF × 1e-6 is one ulp below Default's 0.47e-6 F, and stored runs
-	// are keyed by the converted value.
-	capUF := k.CapUF
-	if capUF == 0 {
-		capUF = cfg.Capacitor.Capacitance * 1e6
+	if k.CapUF != 0 {
+		cfg.Capacitor.Capacitance = Farads(k.CapUF)
 	}
-	cfg.Capacitor.Capacitance = capUF * 1e-6
 	cfg.ICacheSRAM = k.ICacheSRAM
 	cfg.PredictICache = k.PredictICache
 	if k.Leak80Off {
@@ -96,4 +94,21 @@ func (k Knobs) Config() (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// Farads converts a capacitance in µF to farads exactly: it parses uf's
+// shortest decimal with the exponent lowered by 6. So 0.47 µF is
+// Default's 0.47e-6 F and 10 µF is 1e-05 F, where uf × 1e-6 lands one
+// ulp below each. NaN and ±Inf pass through for validation to reject.
+func Farads(uf float64) float64 {
+	s := strconv.FormatFloat(uf, 'e', -1, 64)
+	i := strings.IndexByte(s, 'e')
+	if i < 0 {
+		return uf
+	}
+	// FormatFloat's 'e' form always parses back, so neither call fails;
+	// a value that underflows parses as 0, which validation rejects.
+	exp, _ := strconv.Atoi(s[i+1:])
+	f, _ := strconv.ParseFloat(s[:i]+"e"+strconv.Itoa(exp-6), 64)
+	return f
 }

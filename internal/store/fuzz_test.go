@@ -18,8 +18,9 @@ import (
 // the bit to flip. Open must never panic, every Result that Get,
 // GetLatest, Select or RawByHash returns must equal the one written under
 // its key, anything else must be an error, and a store that opens takes a
-// new append. testdata/fuzz/FuzzOpen holds a flipped WallTime digit in a
-// sealed segment (1.25 read as 1.24).
+// new append. An Open that succeeds resizes a segment only to recover a
+// torn append (see cutAtTear). testdata/fuzz/FuzzOpen holds a flipped
+// WallTime digit in a sealed segment (1.25 read as 1.24).
 func FuzzOpen(f *testing.F) {
 	const maxSeg = 2048
 	base := f.TempDir()
@@ -108,6 +109,18 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		defer s.Close()
+		for name, data := range files {
+			if filepath.Ext(name) != ".seg" {
+				continue
+			}
+			st, err := os.Stat(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size := int(st.Size()); size != len(data) && !cutAtTear(data, size) {
+				t.Fatalf("Open resized %s from %d to %d bytes, not at a torn append", name, len(data), size)
+			}
+		}
 
 		check := func(op string, k Key, res *sim.Result) {
 			t.Helper()
@@ -189,4 +202,23 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("ParseQuery(%q) = nil, nil: want a plan or an error", q)
 		}
 	})
+}
+
+// cutAtTear reports whether resizing the segment data to size bytes
+// recovers a torn append: size is the offset of a frame, reached through
+// intact frames, that runs to or past the end of data; or a segment torn
+// inside its magic was rewritten empty.
+func cutAtTear(data []byte, size int) bool {
+	if len(data) < len(segMagic) {
+		return size == len(segMagic)
+	}
+	off := len(segMagic)
+	for off < size {
+		_, _, rest, ok := readFrame(data[off:])
+		if !ok {
+			return false
+		}
+		off = len(data) - len(rest)
+	}
+	return off == size && size < len(data) && reachesEOF(data[size:])
 }

@@ -12,11 +12,13 @@
 // write; once the active segment exceeds MaxSegmentBytes the next append
 // opens a new one. Open indexes every segment by one CRC-checked scan,
 // decoding only each result record's head (its key and append time). A
-// crash can only tear the final record: the scan stops at the first short
-// or CRC-failing frame, and in the active segment it truncates the tail so
-// every complete record survives and the next append lands on a clean
-// boundary. Every read re-reads its record's frame and checks kind, length
-// and CRC again, so a record altered on disk is an error, never a result.
+// crash can only tear the final record: in the active segment, a short or
+// CRC-failing frame that runs to the end of the file is that tear, and the
+// scan truncates it so every complete record survives and the next append
+// lands on a clean boundary. A bad frame with bytes after it cannot be a
+// tear, so Open fails on it and leaves the file alone. Every read re-reads
+// its record's frame and checks kind, length and CRC again, so a record
+// altered on disk is an error, never a result.
 //
 // Writes are append-only; a re-run of the same key appends a superseding
 // record (Get returns the latest, Select returns all — trend queries want
@@ -293,6 +295,14 @@ func readFrame(b []byte) (kind byte, payload, rest []byte, ok bool) {
 	return kind, payload, b[frameOverhead+int(n):], true
 }
 
+// reachesEOF reports whether the frame at the start of b runs to or past
+// the end of b, as only a torn append can: its 9-byte header is cut short,
+// or its declared payload ends at or beyond the last byte.
+func reachesEOF(b []byte) bool {
+	return len(b) < frameOverhead ||
+		frameOverhead+uint64(binary.LittleEndian.Uint32(b[1:5])) >= uint64(len(b))
+}
+
 // appendFrame encodes one record frame.
 func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 	var hdr [frameOverhead]byte
@@ -303,10 +313,12 @@ func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 }
 
 // scanSegment indexes segment n, whose bytes are data, record by record.
-// For the active segment a torn tail (short frame, bad CRC — a crashed
-// append) is recovered by truncating the file back to the last complete
-// record; for sealed segments the tail after a tear is dropped from the
-// index but the file is left untouched.
+// For the active segment a torn tail, a bad frame that reaches the end of
+// the file (a crashed append), is recovered by truncating the file back to
+// the last complete record. A bad frame with bytes after it is no tear:
+// Open fails and the file is left as it is. For sealed segments the tail
+// after a bad frame is dropped from the index but the file is left
+// untouched.
 func (s *Store) scanSegment(n int, data []byte, active bool) error {
 	path := filepath.Join(s.dir, segName(n))
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != string(segMagic) {
@@ -326,6 +338,9 @@ func (s *Store) scanSegment(n int, data []byte, active bool) error {
 	for len(rest) > 0 {
 		kind, payload, next, ok := readFrame(rest)
 		if !ok {
+			if active && !reachesEOF(rest) {
+				return fmt.Errorf("store: %s @%d: corrupt record with bytes after it (not a torn tail; the file is left as it is)", path, off)
+			}
 			break // torn tail: everything before it is intact
 		}
 		switch kind {

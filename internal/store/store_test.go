@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"edbp/internal/sim"
@@ -283,6 +284,47 @@ func TestTornTailRecovery(t *testing.T) {
 				t.Fatalf("post-recovery append lost: ok=%v err=%v", ok, err)
 			}
 		})
+	}
+}
+
+// TestMidFileCorruptionIsNoTear: a bad frame in the active segment with
+// intact records after it is not a torn append. Open fails, naming the
+// segment and the frame's offset, and leaves the file byte for byte as it
+// was, instead of cutting the four good records behind it.
+func TestMidFileCorruptionIsNoTear(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 5; i++ {
+		put(t, s, fakeResult("crc32", sim.EDBP, i, float64(i)), "c1", int64(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segName(1))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(segMagic)+frameOverhead+10] ^= 1 // a payload bit of the first record
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if s, err := Open(dir, Options{}); err == nil {
+		s.Close()
+		t.Fatal("Open accepted a segment with a corrupt record before four intact ones")
+	} else if want := fmt.Sprintf("%s @%d", segName(1), len(segMagic)); !strings.Contains(err.Error(), want) {
+		t.Errorf("Open error %q does not name %q", err, want)
+	}
+	after, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Errorf("Open changed the segment: %d bytes before, %d after", len(data), len(after))
 	}
 }
 
