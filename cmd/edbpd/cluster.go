@@ -48,8 +48,6 @@ func (s *server) initCluster() {
 				"Run re-dispatches after a worker failed mid-job."),
 			Deaths: s.reg.Counter("edbpd_cluster_deaths_total",
 				"Workers marked dead by a failed dispatch."),
-			Frames: s.reg.Counter("edbpd_cluster_frames_total",
-				"SSE gauge frames relayed from workers into grid streams."),
 			Failed: s.reg.Counter("edbpd_grid_entries_failed_total",
 				"Grid cells that exhausted retry-with-exclusion and failed."),
 		},
@@ -58,6 +56,10 @@ func (s *server) initCluster() {
 		gridEntries: s.reg.Counter("edbpd_grid_entries_total",
 			"Grid cells dispatched across all grids."),
 	}
+	// Dispatch relays no gauge frames; the series stays registered, at 0,
+	// because perfbench's grid layer reads it.
+	s.reg.Counter("edbpd_cluster_frames_total",
+		"Gauge frames relayed from workers; always 0, as dispatch reads one JSON answer per run.")
 	s.reg.GaugeFunc("edbpd_cluster_workers",
 		"Live (routable) workers registered with this coordinator.",
 		func() float64 { return float64(s.members.AliveCount()) })
@@ -70,7 +72,6 @@ func (s *server) initCluster() {
 	s.mux.HandleFunc("GET /cluster/metrics", s.handleClusterMetrics)
 	s.mux.HandleFunc("POST /grid", s.handleGrid)
 	s.mux.HandleFunc("GET /grid/{id}", s.handleGridStatus)
-	s.mux.HandleFunc("GET /grid/{id}/stream", s.handleGridStream)
 	s.mux.HandleFunc("GET /trace/{id}", s.handleGridTrace)
 }
 
@@ -86,7 +87,7 @@ func (s *server) dispatch(ctx context.Context, spec runSpec) (out *runOutput, ha
 	if err != nil {
 		return nil, true, err
 	}
-	raw, node, _, err := s.coord.Execute(ctx, spec.key, body, nil)
+	raw, node, _, err := s.coord.Execute(ctx, spec.key, body)
 	if errors.Is(err, cluster.ErrNoWorkers) {
 		return nil, false, nil
 	}
@@ -216,9 +217,9 @@ func gridViewOf(g *cluster.Grid) gridView {
 // handleGrid serves POST /grid: expand, validate, dedupe, and dispatch
 // every cell to the worker owning its config hash. An unknown key, at the
 // top level or in a cell, or a cell sim rejects makes the whole grid a
-// 400. The default response is 202 with the grid id for GET /grid/{id}
-// and /grid/{id}/stream; ?wait=1 blocks until every cell is terminal and
-// returns the full result set.
+// 400. The default response is 202 with the grid id for GET /grid/{id};
+// ?wait=1 blocks until every cell is terminal and returns the full result
+// set.
 func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeDraining, "draining")
@@ -282,10 +283,10 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 }
 
 // startGrid dispatches entries as a new grid and records it for
-// GET /grid/{id}, /grid/{id}/stream and /trace/{id}. Grids outlive their
-// submitting request: dispatch runs under the server's lifetime, bounded
-// per entry by the run timeout the workers enforce. The grid root span,
-// a child of parent, anchors the cross-node trace: every dispatch span
+// GET /grid/{id} and /trace/{id}. Grids outlive their submitting request:
+// dispatch runs under the server's lifetime, bounded per entry by the run
+// timeout the workers enforce. The grid root span, a child of parent,
+// anchors the cross-node trace: every dispatch span
 // (and, over the traceparent header, every worker-side span) descends
 // from it, so GET /trace/{grid-id} can assemble the whole picture.
 func (s *server) startGrid(parent span.Context, entries []cluster.GridEntry) *cluster.Grid {
@@ -328,11 +329,11 @@ type gridRecord struct {
 	cells int
 }
 
-// gridRecords holds the grids GET /grid/{id}, /grid/{id}/stream and
-// /trace/{id} read. A grid in flight is always kept. Finished grids are
-// kept newest first while their cells total at most maxGridEntries, so
-// the largest grid a coordinator accepts stays readable once it finishes;
-// an older finished grid is forgotten, and its id is a 404.
+// gridRecords holds the grids GET /grid/{id} and /trace/{id} read. A grid
+// in flight is always kept. Finished grids are kept newest first while
+// their cells total at most maxGridEntries, so the largest grid a
+// coordinator accepts stays readable once it finishes; an older finished
+// grid is forgotten, and its id is a 404.
 type gridRecords struct {
 	mu       sync.Mutex
 	byID     map[string]*gridRecord
@@ -388,48 +389,4 @@ func (s *server) handleGridStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, gridViewOf(g))
-}
-
-// handleGridStream serves GET /grid/{id}/stream: the fan-in SSE feed of a
-// grid — "gauge" envelopes ({node, key, gauge}) relayed from every worker,
-// one "entry" event per terminal cell, and a final "done" summary. The
-// subscription is severed when the client disconnects. Subscribing to a
-// grid that already finished ends immediately with a synthetic "done"
-// summary (the hub is closed, so no per-cell events replay).
-func (s *server) handleGridStream(w http.ResponseWriter, r *http.Request) {
-	g, ok := s.loadGrid(w, r)
-	if !ok {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "streaming unsupported")
-		return
-	}
-	// Subscribe before the headers go out: a client that has the 200 in
-	// hand misses no event emitted after it.
-	events, cancel := g.Subscribe()
-	defer cancel()
-	startSSE(w, fl)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-events:
-			if !ok {
-				// Hub closed (grid finished before or during this stream):
-				// emit the summary so late subscribers still get closure.
-				if data, err := json.Marshal(g.Summary()); err == nil {
-					fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
-					fl.Flush()
-				}
-				return
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, ev.Data)
-			fl.Flush()
-			if ev.Type == "done" {
-				return
-			}
-		}
-	}
 }

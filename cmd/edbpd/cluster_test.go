@@ -421,96 +421,10 @@ func TestClusterSingleRunDispatch(t *testing.T) {
 	}
 }
 
-// TestClusterGridStream subscribes to the fan-in SSE feed mid-grid and
-// checks the event grammar: gauge envelopes carry node+key provenance,
-// every cell yields one "entry", and the stream terminates with "done".
-func TestClusterGridStream(t *testing.T) {
-	coord := newClusterCoordinator(t)
-	// The worker holds every cell until the stream is subscribed: a cell
-	// can finish in a millisecond, and the hub replays nothing.
-	gate := make(chan struct{})
-	w := newClusterWorker(t, "w1", gate)
-	defer drainWorker(t, w)
-	release := sync.OnceFunc(func() { close(gate) })
-	defer release()
-	joinWorker(t, coord, "w1", w.ts.URL)
-
-	var accepted struct {
-		ID string `json:"id"`
-	}
-	body := `{"base":{"app":"crc32","scale":0.05},"schemes":["baseline","edbp"]}`
-	if code := doJSON(t, "POST", coord.ts.URL+"/grid", body, &accepted); code != http.StatusAccepted {
-		t.Fatalf("POST /grid = %d", code)
-	}
-
-	resp, err := http.Get(coord.ts.URL + "/grid/" + accepted.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream Content-Type = %q", ct)
-	}
-	release()
-
-	entries, done := 0, false
-	err = func() error {
-		type evt struct {
-			typ  string
-			data []byte
-		}
-		ch := make(chan evt, 64)
-		go func() {
-			cluster.ParseSSE(resp.Body, func(event string, data []byte) {
-				d := make([]byte, len(data))
-				copy(d, data)
-				ch <- evt{event, d}
-			})
-			close(ch)
-		}()
-		timeout := time.After(60 * time.Second)
-		for {
-			select {
-			case e, ok := <-ch:
-				if !ok {
-					return nil
-				}
-				switch e.typ {
-				case "gauge":
-					var env struct {
-						Node  string          `json:"node"`
-						Key   string          `json:"key"`
-						Gauge json.RawMessage `json:"gauge"`
-					}
-					if err := json.Unmarshal(e.data, &env); err != nil || env.Node != "w1" || env.Key == "" || len(env.Gauge) == 0 {
-						return fmt.Errorf("bad gauge envelope %s (err %v)", e.data, err)
-					}
-				case "entry":
-					entries++
-				case "done":
-					done = true
-					return nil
-				}
-			case <-timeout:
-				return fmt.Errorf("stream never finished (entries %d)", entries)
-			}
-		}
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Error("stream ended without a done event")
-	}
-	if entries != 2 {
-		t.Errorf("saw %d entry events, want 2", entries)
-	}
-}
-
 // TestGridRecordsBound: a coordinator keeps a grid while it is in flight,
 // and keeps finished grids, newest first, while their cells total at most
-// maxGridEntries. An evicted grid's id is a 404 on GET /grid/{id}, its
-// stream and its trace.
+// maxGridEntries. An evicted grid's id is a 404 on GET /grid/{id} and its
+// trace. No grid has a GET /grid/{id}/stream: the route is gone.
 func TestGridRecordsBound(t *testing.T) {
 	coord := newClusterCoordinator(t)
 	s := coord.srv
@@ -585,16 +499,22 @@ func TestGridRecordsBound(t *testing.T) {
 		if i == 0 {
 			want = http.StatusNotFound
 		}
-		for _, path := range []string{"/grid/" + g.ID, "/grid/" + g.ID + "/stream", "/trace/" + g.ID} {
+		for _, path := range []string{"/grid/" + g.ID, "/trace/" + g.ID} {
 			if code := status(path); code != want {
 				t.Errorf("GET %s = %d, want %d", path, code, want)
 			}
+		}
+		if code := status("/grid/" + g.ID + "/stream"); code != http.StatusNotFound {
+			t.Errorf("GET /grid/%s/stream = %d, want 404", g.ID, code)
 		}
 	}
 	for _, path := range []string{"/grid/" + inFlight.ID, "/trace/" + inFlight.ID} {
 		if code := status(path); code != http.StatusOK {
 			t.Errorf("in-flight grid: GET %s = %d, want 200", path, code)
 		}
+	}
+	if code := status("/grid/" + inFlight.ID + "/stream"); code != http.StatusNotFound {
+		t.Errorf("in-flight grid: GET /grid/%s/stream = %d, want 404", inFlight.ID, code)
 	}
 
 	// Once it finishes, the grid that was in flight is the newest finished

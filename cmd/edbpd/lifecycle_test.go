@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,31 +12,24 @@ import (
 	"time"
 
 	"edbp/internal/cluster"
-	tracepkg "edbp/internal/trace"
 )
 
 // TestDrainEnqueueRace hammers intake from 8 goroutines while Drain flips
-// the server, repeatedly. Drain starts only once the first stream has been
-// accepted, so submissions race the queue's close. Every submission must
-// resolve deterministically: a 200 stream that ends in its result (the
-// pool finishes every job queued before the close, and Drain returning nil
-// proves it), or a 503 with a Retry-After header and a typed code. No hung
-// request, no send-on-closed-channel panic (the race detector covers the
+// the server, repeatedly. Drain starts only once the first run has been
+// answered, so submissions race the queue's close. Every submission must
+// resolve deterministically: a 200 with its Result (the pool finishes
+// every job queued before the close, and Drain returning nil proves it),
+// or a 503 with a Retry-After header and a typed code. No hung request, no
+// send-on-closed-channel panic (the race detector covers the
 // close-during-send window), no bare 503.
 func TestDrainEnqueueRace(t *testing.T) {
-	type outcome struct {
-		code       int
-		retryAfter string
-		errCode    string
-		last       string // a 200 stream's terminal frame
-	}
 	draining := 0
 	for round := 0; round < 4; round++ {
 		s := newServer(serverOptions{queueDepth: 4, workers: 2})
 		ts := httptest.NewServer(s.Handler())
 
 		const clients, perClient = 8, 6
-		results := make(chan outcome, clients*perClient)
+		results := make(chan answer, clients*perClient)
 		start := make(chan struct{})
 		accepted := make(chan struct{})
 		accept := sync.OnceFunc(func() { close(accepted) })
@@ -50,22 +42,15 @@ func TestDrainEnqueueRace(t *testing.T) {
 				for k := 0; k < perClient; k++ {
 					body := fmt.Sprintf(`{"app":"crc32","scheme":"baseline","scale":0.05,"seed":%d}`,
 						round*1000+i*100+k+1)
-					resp, err := http.Post(ts.URL+"/run?stream=1", "application/json", strings.NewReader(body))
-					if err != nil {
-						t.Errorf("submit: %v", err)
+					a := postRun(context.Background(), ts.URL, body)
+					if a.err != nil {
+						t.Errorf("submit: %v", a.err)
 						return
 					}
-					o := outcome{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
-					if resp.StatusCode == http.StatusOK {
+					if a.code == http.StatusOK {
 						accept()
-						cluster.ParseSSE(resp.Body, func(name string, _ []byte) { o.last = name })
-					} else {
-						var e cluster.ErrorBody
-						json.NewDecoder(resp.Body).Decode(&e)
-						o.errCode = e.Code
 					}
-					resp.Body.Close()
-					results <- o
+					results <- a
 				}
 			}(i)
 		}
@@ -74,7 +59,7 @@ func TestDrainEnqueueRace(t *testing.T) {
 		select {
 		case <-accepted:
 		case <-time.After(30 * time.Second):
-			t.Fatalf("round %d: no stream accepted", round)
+			t.Fatalf("round %d: no run answered", round)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		if err := s.Drain(ctx); err != nil {
@@ -86,30 +71,30 @@ func TestDrainEnqueueRace(t *testing.T) {
 		close(results)
 
 		finished := 0
-		for r := range results {
-			switch r.code {
+		for a := range results {
+			switch a.code {
 			case http.StatusOK:
-				if r.last != "result" {
-					t.Fatalf("round %d: accepted stream ended with %q, want its result", round, r.last)
+				if a.out.Instructions == 0 {
+					t.Fatalf("round %d: a 200 without its result: %+v", round, a.out)
 				}
 				finished++
 			case http.StatusServiceUnavailable:
-				if r.retryAfter == "" {
-					t.Fatalf("round %d: 503 %q without Retry-After", round, r.errCode)
+				if a.retryAfter == "" {
+					t.Fatalf("round %d: 503 %q without Retry-After", round, a.e.Code)
 				}
-				switch r.errCode {
+				switch a.e.Code {
 				case cluster.CodeDraining:
 					draining++
 				case cluster.CodeQueueFull:
 				default:
-					t.Fatalf("round %d: 503 with untyped code %q", round, r.errCode)
+					t.Fatalf("round %d: 503 with untyped code %q", round, a.e.Code)
 				}
 			default:
-				t.Fatalf("round %d: submission = %d (%q), want 200 or 503", round, r.code, r.errCode)
+				t.Fatalf("round %d: submission = %d (%q), want 200 or 503", round, a.code, a.e.Code)
 			}
 		}
 		if finished == 0 {
-			t.Errorf("round %d: no stream ended in its result", round)
+			t.Errorf("round %d: no run answered with its result", round)
 		}
 	}
 	if draining == 0 {
@@ -118,12 +103,12 @@ func TestDrainEnqueueRace(t *testing.T) {
 }
 
 // TestDrainAbortMarksPendingFailed wedges the single worker on the
-// holdJobs gate with one streamed run and queues a second, then drains
-// with a deadline far shorter than the wedge. The aborted drain must (a)
-// return an error naming the pending count, (b) refuse new streams as
-// draining, (c) end both held streams in a drain_aborted error frame — no
-// phantom in-flight run after shutdown — and (d) keep both jobs failed
-// after the worker wakes up and dequeues them: neither is simulated.
+// holdJobs gate with one run and queues a second, then drains with a
+// deadline far shorter than the wedge. The aborted drain must (a) return
+// an error naming the pending count, (b) refuse new runs as draining, (c)
+// answer both held runs 503 drain_aborted with Retry-After — no phantom
+// in-flight run after shutdown — and (d) keep both jobs failed after the
+// worker wakes up and dequeues them: neither is simulated.
 func TestDrainAbortMarksPendingFailed(t *testing.T) {
 	gate := make(chan struct{})
 	s := newServer(serverOptions{queueDepth: 4, workers: 1, holdJobs: gate})
@@ -132,7 +117,7 @@ func TestDrainAbortMarksPendingFailed(t *testing.T) {
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release()
 
-	pending := holdStreams(t, s, ts.URL, baselineBody(1), baselineBody(2))
+	pending := holdRuns(t, s, ts.URL, baselineBody(1), baselineBody(2))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	err := s.Drain(ctx)
 	cancel()
@@ -142,14 +127,12 @@ func TestDrainAbortMarksPendingFailed(t *testing.T) {
 	if !strings.Contains(err.Error(), "drain aborted with 2 jobs") {
 		t.Errorf("drain error = %v, want it to count 2 pending jobs", err)
 	}
-	refuseStream(t, ts.URL, baselineBody(3), cluster.CodeDraining)
+	refuseRun(t, ts.URL, baselineBody(3), cluster.CodeDraining)
 	for i := 0; i < 2; i++ {
-		r := <-pending
-		if r.err != nil || r.code != http.StatusOK {
-			t.Fatalf("held stream = %d, %v", r.code, r.err)
-		}
-		if e := errorFrame(t, r.events); e.Code != cluster.CodeDrainAborted {
-			t.Errorf("drain-aborted run's error frame = %+v, want code %q", e, cluster.CodeDrainAborted)
+		a := <-pending
+		if a.err != nil || a.code != http.StatusServiceUnavailable || a.e.Code != cluster.CodeDrainAborted || a.retryAfter == "" {
+			t.Errorf("drain-aborted run = %d %+v (Retry-After %q, %v), want 503 with code %q",
+				a.code, a.e, a.retryAfter, a.err, cluster.CodeDrainAborted)
 		}
 	}
 
@@ -166,33 +149,10 @@ func TestDrainAbortMarksPendingFailed(t *testing.T) {
 	}
 }
 
-// TestStreamSamplerUnbound drives sampleRun directly through the client-
-// disconnect path: ctx is cancelled while the run (lr.done) is still open.
-// The sampler must close its frames channel and exit — the ranged read
-// below only returns if it does.
-func TestStreamSamplerUnbound(t *testing.T) {
-	rec := tracepkg.NewRecorder(tracepkg.Options{Label: "t", EventCap: 8, SampleCap: 8, SampleEvery: 1e-3})
-	lr := &liveRun{label: "t", rec: rec, done: make(chan struct{})}
-	defer close(lr.done)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	frames := sampleRun(ctx, lr)
-	cancel() // the client went away; the run is still in flight
-	select {
-	case _, ok := <-frames:
-		for ok {
-			_, ok = <-frames
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("sampler did not close frames after ctx cancellation")
-	}
-}
-
-// TestStreamAbortGoroutineBaseline opens streamed runs behind a frozen
-// worker (each handler parks waiting for a live run that never comes),
-// aborts the clients, and asserts the process goroutine count returns to
-// its pre-stream baseline — neither the handler's wait nor a sampler may
-// outlive the request.
+// TestStreamAbortGoroutineBaseline opens runs behind a frozen worker
+// (each handler parks waiting for a job that never starts), aborts the
+// clients, and asserts the process goroutine count returns to its
+// pre-request baseline — the handler's wait may not outlive the request.
 func TestStreamAbortGoroutineBaseline(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts := testServer(t, serverOptions{workers: 1, holdJobs: gate})
@@ -205,7 +165,7 @@ func TestStreamAbortGoroutineBaseline(t *testing.T) {
 		// queue holds the rest, so the only way out is the request context
 		// expiring — exactly a client that gave up.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		postStream(ctx, ts.URL, baselineBody(seed))
+		postRun(ctx, ts.URL, baselineBody(seed))
 		cancel()
 	}
 
@@ -219,7 +179,7 @@ func TestStreamAbortGoroutineBaseline(t *testing.T) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines %d > baseline %d after aborted streams\n%s",
+			t.Fatalf("goroutines %d > baseline %d after aborted runs\n%s",
 				runtime.NumGoroutine(), baseline, buf[:n])
 		}
 		runtime.Gosched()

@@ -7,19 +7,15 @@
 //
 // Endpoints:
 //
-//	POST /run        run one simulation synchronously; the body is a
-//	                 sim.Knobs JSON ({"app":"crc32","scheme":"edbp",...}),
-//	                 validated before anything queues (a config sim rejects
-//	                 is a 400 on every path), the response the Result JSON.
-//	                 Runs are cached by sim.ConfigHash, so every spelling
-//	                 of a config is one run. With ?stream=1 the job enters
-//	                 a bounded queue and the response is Server-Sent
-//	                 Events: the run's "gauge" frames (capacitor voltage,
-//	                 live/gated/dirty blocks, FPR, zombie ratio), then
-//	                 exactly one "result" frame (the Result JSON) or
-//	                 "error" frame (the error JSON below); closing the
-//	                 stream cancels the run. Coordinators dispatch with it.
-//	                 Any other query parameter is a 400.
+//	POST /run        run one simulation; the body is a sim.Knobs JSON
+//	                 ({"app":"crc32","scheme":"edbp",...}), validated
+//	                 before anything queues (a config sim rejects, or any
+//	                 query parameter, is a 400). The run waits in a bounded
+//	                 queue (-queue deep, drained by -workers) and the
+//	                 response is the Result JSON or the error JSON below;
+//	                 a client that leaves cancels its run. Runs are cached
+//	                 by sim.ConfigHash, so every spelling of a config is
+//	                 one run. Coordinators dispatch with it.
 //	GET  /healthz    liveness; 503 once the server starts draining.
 //	GET  /metrics    the internal/obs registry in Prometheus text format
 //	                 0.0.4 (counters, gauges, run/queue histograms, trace
@@ -42,12 +38,11 @@
 //	GET  /debug/pprof/*  net/http/pprof, only when -pprof is set.
 //
 // Errors: every error response is {"error": "...", "code": "..."} with a
-// stable code: bad_request, not_found, queue_full and draining (503 with
-// Retry-After), no_workers, run_failed, timeout, or internal. A config
-// the simulator rejects is a 400 bad_request, also when a coordinator's
-// worker rejected it. A failed streamed run also reports bad_request,
-// run_failed, timeout or drain_aborted, in its stream's "error" frame.
-// Clients branch on the status and the code, never on the message.
+// stable code: 400 bad_request, 404 not_found, 503 queue_full, draining,
+// drain_aborted and no_workers (each with Retry-After), 504 timeout, or
+// 500 run_failed or internal. A config the simulator rejects is a 400
+// bad_request, also when a coordinator's worker rejected it. Clients
+// branch on the status and the code, never on the message.
 //
 // Logging: every binary in this repo takes -log-level (debug|info|warn|
 // error) and -log-format (text|json). Text keeps the historical
@@ -72,11 +67,8 @@
 //	GET  /grid/{id}          grid summary + per-cell status; a grid in
 //	                         flight is always kept, finished grids newest
 //	                         first while their cells total at most 4096,
-//	                         and an older grid's id is a 404 here, on its
-//	                         stream and on its trace
-//	GET  /grid/{id}/stream   fan-in SSE: relayed worker gauges wrapped
-//	                         {node,key,gauge}, per-cell "entry" events, a
-//	                         final "done" summary
+//	                         and an older grid's id is a 404 here and on
+//	                         its trace
 //	GET  /cluster/metrics    federation: the coordinator's own metrics
 //	                         snapshot merged with a live scrape of every
 //	                         worker's /metrics (series keyed by node="..."
@@ -92,12 +84,14 @@
 // dispatches to. Each worker's result cache and -store shard hold only
 // the config hashes the ring routes to it, so the fleet's stores form a
 // partitioned, disjoint result set (audited via store.ConfigHashes).
-// Each dispatched cell is one POST /run?stream=1; a worker that dies
-// mid-job drops its streams, is marked dead, and its cells are
-// re-dispatched to the next ring owner (retry-with-exclusion); a
-// coordinator with no
-// live workers falls back to simulating locally. -node-id stamps every
-// metrics series with a node="..." label so fleet dashboards aggregate.
+// Each dispatched cell is one POST /run answered with one JSON body; a
+// worker that dies mid-job fails or cuts its answers, is marked dead, and
+// its cells are re-dispatched to the next ring owner
+// (retry-with-exclusion); a coordinator with no live workers falls back
+// to simulating locally. A run sent to a coordinator holds one of its
+// queue slots while the worker runs it; grids do not use that queue.
+// -node-id stamps every metrics series with a node="..." label so fleet
+// dashboards aggregate.
 //
 // Identical configs are answered from a sha256 config-hash result cache
 // that keeps the 4096 newest results; fresh runs share the process-wide
@@ -136,9 +130,9 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		queue        = flag.Int("queue", 64, "queue depth for streamed runs (503 when full)")
+		queue        = flag.Int("queue", 64, "queue depth for POST /run (503 when full)")
 		workers      = flag.Int("workers", 2, "queue worker goroutines")
-		runTimeout   = flag.Duration("run-timeout", 15*time.Minute, "per-run deadline, sync and streamed")
+		runTimeout   = flag.Duration("run-timeout", 15*time.Minute, "per-run deadline")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "how long to wait for queued jobs on shutdown")
 		pprofFlag    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		storeDir     = flag.String("store", "", "experiment store directory; persists every fresh completed run and enables /runs and /query")
@@ -246,7 +240,8 @@ func main() {
 		stopHeartbeats()
 	}
 	// Stop intake and wait for queued jobs first, then close HTTP with the
-	// remaining budget so in-flight sync requests finish too.
+	// remaining budget so their answers and other in-flight requests
+	// finish too.
 	if err := srv.Drain(dctx); err != nil {
 		logger.Fatal(err)
 	}

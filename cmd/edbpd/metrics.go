@@ -61,14 +61,14 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		runsErr:     reg.Counter("edbpd_runs_error_total", "Simulations failed or canceled."),
 		cacheHits:   reg.Counter("edbpd_cache_hits_total", "Runs answered from the config-hash result cache."),
 		cacheMisses: reg.Counter("edbpd_cache_misses_total", "Runs that missed the config-hash result cache and simulated."),
-		queueFull:   reg.Counter("edbpd_queue_full_total", "Streamed runs rejected for a full queue."),
+		queueFull:   reg.Counter("edbpd_queue_full_total", "Runs rejected for a full queue."),
 		simSeconds:  reg.Counter("edbpd_sim_seconds_total", "Simulated wall-clock seconds across completed runs."),
 		runSeconds: reg.Histogram("edbpd_run_seconds",
 			"Host wall time per completed simulation run.", runSecondsBuckets),
 		runEventsPS: reg.Histogram("edbpd_run_events_per_second",
 			"Simulator throughput per completed run (instructions per host second).", eventsPerSecBuckets),
 		queueWait: reg.Histogram("edbpd_queue_wait_seconds",
-			"Time streamed runs spent queued before a worker dequeued them.", queueWaitBuckets),
+			"Time runs spent queued before a worker dequeued them.", queueWaitBuckets),
 		runsByConfig: reg.CounterVec("edbpd_runs_by_config_total",
 			"Completed runs by workload app and scheme.", "app", "scheme"),
 	}

@@ -8,10 +8,8 @@ import (
 	"edbp/internal/span"
 )
 
-// statusWriter captures the response status for the access log while
-// preserving the streaming surface the SSE handlers need: Flush is
-// forwarded when the underlying writer supports it, and Unwrap keeps
-// http.ResponseController working.
+// statusWriter captures the response status for the access log; Unwrap
+// keeps http.ResponseController working.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -29,12 +27,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 		w.status = http.StatusOK
 	}
 	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
 }
 
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

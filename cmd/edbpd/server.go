@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	httppprof "net/http/pprof"
 	"strconv"
@@ -44,10 +43,10 @@ func newRunSpec(k sim.Knobs) (runSpec, error) {
 	return runSpec{knobs: k, cfg: cfg, key: sim.ConfigHash(cfg)}, nil
 }
 
-// runOutput is the Result JSON returned by POST /run and carried by the
-// "result" frame of POST /run?stream=1. Its snake_case field names are
-// stable API. cmd/edbpsim -json is a different schema: it writes Go field
-// names (WallSeconds, not wall_seconds) and more of the Result.
+// runOutput is the Result JSON returned by POST /run. Its snake_case
+// field names are stable API. cmd/edbpsim -json is a different schema: it
+// writes Go field names (WallSeconds, not wall_seconds) and more of the
+// Result.
 type runOutput struct {
 	App    string `json:"app"`
 	Scheme string `json:"scheme"`
@@ -146,22 +145,12 @@ func (c *resultCache) put(key string, out *runOutput) {
 	c.byKey[key] = out
 }
 
-// liveRun exposes an in-flight simulation's trace recorder to its run
-// stream. done closes when the run finishes (success or failure), after
-// which the recorder is quiescent and its last sample stays readable.
-type liveRun struct {
-	label string
-	rec   *tracepkg.Recorder
-	done  chan struct{}
-}
-
-// job is one streamed run (POST /run?stream=1) through the bounded queue.
+// job is one POST /run through the bounded queue.
 type job struct {
 	id   string
 	spec runSpec
-	// ctx is the streaming request's context: it carries the request's
-	// span, and it bounds the run, which has no reader once the request
-	// ends.
+	// ctx is the request's context: it carries the request's span, and it
+	// bounds the run, which has no reader once the request ends.
 	ctx        context.Context
 	enqueuedAt time.Time
 
@@ -171,11 +160,6 @@ type job struct {
 	out  *runOutput
 	err  error
 	done chan struct{}
-
-	// attached closes once the worker has set live, the in-flight
-	// simulation's view; live is read only after attached closes.
-	attached chan struct{}
-	live     *liveRun
 }
 
 // newJob makes a queued job for spec whose run is bounded by ctx.
@@ -187,27 +171,6 @@ func (s *server) newJob(ctx context.Context, spec runSpec) *job {
 		enqueuedAt: time.Now(),
 		status:     "queued",
 		done:       make(chan struct{}),
-		attached:   make(chan struct{}),
-	}
-}
-
-// awaitLive waits until the worker attaches j's live run and returns it.
-// It returns nil when j ends without one (cache hit, failure, drain abort)
-// or ctx ends first.
-func (j *job) awaitLive(ctx context.Context) *liveRun {
-	select {
-	case <-j.attached:
-		return j.live
-	case <-j.done:
-	case <-ctx.Done():
-		return nil
-	}
-	// j may have attached a run and then finished.
-	select {
-	case <-j.attached:
-		return j.live
-	default:
-		return nil
 	}
 }
 
@@ -248,9 +211,9 @@ func (j *job) finish(out *runOutput, err error) bool {
 }
 
 type serverOptions struct {
-	queueDepth int           // bounded queue of streamed runs; 503 when full
+	queueDepth int           // bounded queue of runs; 503 when full
 	workers    int           // queue drainers
-	runTimeout time.Duration // per-run deadline (sync and streamed)
+	runTimeout time.Duration // per-run deadline
 	pprof      bool          // mount net/http/pprof under /debug/pprof/
 
 	// registry backs /metrics; newServer creates one when nil. Tests
@@ -302,7 +265,7 @@ type serverOptions struct {
 type server struct {
 	opts  serverOptions
 	mux   *http.ServeMux
-	jobs  sync.Map // id -> *job, each queued or running behind its stream
+	jobs  sync.Map // id -> *job, each queued or running behind its request
 	cache resultCache
 
 	queueMu  sync.RWMutex // guards queue against close-during-send
@@ -366,7 +329,7 @@ func newServer(opts serverOptions) *server {
 	}
 	// Depth of the bounded channel itself (distinct from the queued-jobs
 	// gauge only transiently, but free and impossible to drift).
-	s.reg.GaugeFunc("edbpd_queue_depth", "Streamed runs currently in the bounded queue channel.",
+	s.reg.GaugeFunc("edbpd_queue_depth", "Runs currently in the bounded queue channel.",
 		func() float64 { return float64(len(s.queue)) })
 	if opts.store != nil {
 		s.reg.GaugeFunc("edbpd_store_records", "Result records in the experiment store (superseded included).",
@@ -406,8 +369,8 @@ func (s *server) Handler() http.Handler {
 }
 
 // errDrainAborted is the typed reason stamped on jobs the drain gave up
-// waiting for: their streams end in an error frame, never in a phantom
-// in-flight job after the server has shut down.
+// waiting for: their requests are answered 503 drain_aborted, never left
+// behind as a phantom in-flight job after the server has shut down.
 var errDrainAborted = errors.New("edbpd: drain aborted before this job completed")
 
 // Drain stops accepting work, waits for queued jobs to finish (bounded by
@@ -469,9 +432,9 @@ func (s *server) worker() {
 			qs.End()
 		}
 		// Jobs run to completion even during drain; only the per-run
-		// deadline and the stream's reader leaving stop them.
+		// deadline and the client leaving stop them.
 		ctx, cancel := context.WithTimeout(j.ctx, s.opts.runTimeout)
-		out, err := s.run(ctx, j.spec, j)
+		out, err := s.run(ctx, j.spec)
 		cancel()
 		j.finish(out, err)
 		if err != nil {
@@ -486,9 +449,8 @@ func (s *server) worker() {
 // run executes one simulation, consulting and feeding the config-hash
 // result cache. Cached replays skip the simulator entirely; fresh runs
 // additionally reuse the process-wide workload.Cached / energy.CachedTrace
-// memoization underneath sim.RunContext. j, when non-nil, is the queued job
-// this run belongs to: its live view is attached for the run stream.
-func (s *server) run(ctx context.Context, spec runSpec, j *job) (out *runOutput, err error) {
+// memoization underneath sim.RunContext. A queue worker is its one caller.
+func (s *server) run(ctx context.Context, spec runSpec) (out *runOutput, err error) {
 	key, cfg := spec.key, spec.cfg
 	rs := s.spans.Start(span.FromCtx(ctx), "run")
 	if rs != nil {
@@ -523,19 +485,13 @@ func (s *server) run(ctx context.Context, spec runSpec, j *job) (out *runOutput,
 	rec := tracepkg.NewRecorder(tracepkg.Options{
 		Label:    fmt.Sprintf("%s/%s/%s", cfg.App, cfg.Scheme, cfg.TraceKind),
 		EventCap: 4096,
-		// The rings keep a bounded recent window (overwrites are counted
-		// into edbpd_trace_dropped_total); the dense cadence feeds the
-		// live gauge a run stream serves.
+		// The rings keep a bounded recent window of events and of gauge
+		// samples taken every simulated millisecond (overwrites are
+		// counted into edbpd_trace_dropped_total).
 		SampleCap:   256,
 		SampleEvery: 1e-3,
 	})
 	cfg.Recorder = rec
-	if j != nil {
-		lr := &liveRun{label: rec.Options().Label, rec: rec, done: make(chan struct{})}
-		defer close(lr.done)
-		j.live = lr
-		close(j.attached)
-	}
 	start := time.Now()
 	ss := s.spans.Start(rs.Ctx(), "simulate")
 	res, err := sim.RunContext(ctx, cfg)
@@ -607,6 +563,22 @@ func runErrorCode(err error) string {
 	}
 }
 
+// httpRunError answers a run that returned err with the error JSON under
+// its runErrorCode and that code's status: 400 bad_request, 504 timeout,
+// 503 drain_aborted (with Retry-After) or 500 run_failed.
+func httpRunError(w http.ResponseWriter, err error) {
+	switch code := runErrorCode(err); code {
+	case cluster.CodeBadRequest:
+		httpError(w, http.StatusBadRequest, code, "%v", err)
+	case cluster.CodeTimeout:
+		httpError(w, http.StatusGatewayTimeout, code, "%v", err)
+	case cluster.CodeDrainAborted:
+		httpUnavailable(w, drainRetryAfterSeconds, code, "%v", err)
+	default:
+		httpError(w, http.StatusInternalServerError, code, "%v", err)
+	}
+}
+
 // drainRetryAfterSeconds is the Retry-After clients get while the server
 // drains: long enough for a rolling restart to converge, short enough
 // that retrying clients land on the replacement promptly.
@@ -673,25 +645,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleRun serves POST /run. The body is a sim.Knobs; an unknown key (a
-// misspelled knob would otherwise take its default) or a config sim
-// rejects is a 400 before anything queues, and so is any query parameter
-// but stream, so a client still sending ?async=1 gets an error, not a
-// silent synchronous run. The default is synchronous: the simulation runs
-// under the request's context plus the per-run timeout and the Result
-// JSON is the response. With ?stream=1 the job enters the bounded queue
-// and the response streams it (streamRun).
+// handleRun serves POST /run, the one way edbpd runs a config. The body
+// is a sim.Knobs; an unknown key (a misspelled knob would otherwise take
+// its default), a config sim rejects or any query parameter is a 400
+// before anything queues, so a client still sending the removed async or
+// stream parameter gets an error, not a run it did not ask for. The job
+// then waits in the bounded queue (503 queue_full or draining when it
+// cannot), and the response is its Result JSON or httpRunError's answer.
+// The run belongs to the request: when the client leaves, a queued job is
+// never started and a running one is canceled. The job stays in s.jobs,
+// where a drain abort finds it, only until the request ends.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpUnavailable(w, drainRetryAfterSeconds, cluster.CodeDraining, "draining")
 		return
 	}
-	q := r.URL.Query()
-	for name := range q {
-		if name != "stream" {
-			httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "unknown query parameter %q (POST /run takes only stream=1)", name)
-			return
-		}
+	if r.URL.RawQuery != "" {
+		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "POST /run takes no query parameter, got %q", r.URL.RawQuery)
+		return
 	}
 	var k sim.Knobs
 	dec := json.NewDecoder(r.Body)
@@ -705,60 +676,12 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, cluster.CodeBadRequest, "%v", err)
 		return
 	}
-	if q.Get("stream") != "" {
-		s.streamRun(w, r, spec)
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.runTimeout)
-	defer cancel()
-	out, err := s.run(ctx, spec, nil)
-	if err != nil {
-		code := runErrorCode(err)
-		status := http.StatusInternalServerError
-		switch code {
-		case cluster.CodeTimeout:
-			status = http.StatusGatewayTimeout
-		case cluster.CodeBadRequest:
-			status = http.StatusBadRequest
-		}
-		httpError(w, status, code, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// runStreamInterval is how often a streamed run's live gauge is sampled.
-// A grid cell usually finishes within one interval, so its stream carries
-// only the final sample.
-const runStreamInterval = 25 * time.Millisecond
-
-// streamRun serves POST /run?stream=1, the coordinator's one request per
-// dispatched run. The job waits in the bounded queue (503 queue_full or
-// draining when it cannot), and the response is a Server-Sent Events
-// stream: the run's "gauge" frames, then exactly one terminal frame,
-// "result" with the Result JSON or "error" with the error JSON. The run
-// belongs to the request: when the client leaves, a queued job is never
-// started and a running one is canceled. The job stays in s.jobs, where a
-// drain abort finds it, only until its stream ends.
-func (s *server) streamRun(w http.ResponseWriter, r *http.Request, spec runSpec) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, cluster.CodeInternal, "streaming unsupported")
-		return
-	}
 	ctx := r.Context()
 	j := s.newJob(ctx, spec)
 	if !s.enqueue(w, j) {
 		return
 	}
 	defer s.jobs.Delete(j.id)
-	startSSE(w, fl)
-	if lr := j.awaitLive(ctx); lr != nil {
-		for frame := range sampleRun(ctx, lr) {
-			writeEvent(w, fl, "gauge", frame)
-		}
-	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
@@ -767,10 +690,10 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, spec runSpec)
 	}
 	// finish set out or err before closing done.
 	if j.err != nil {
-		writeEvent(w, fl, "error", cluster.ErrorBody{Error: j.err.Error(), Code: runErrorCode(j.err)})
+		httpRunError(w, j.err)
 		return
 	}
-	writeEvent(w, fl, "result", j.out)
+	writeJSON(w, http.StatusOK, j.out)
 }
 
 // storedRun is one GET /runs response item.
@@ -904,93 +827,4 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", obs.ContentType)
 	s.reg.WritePrometheus(w)
-}
-
-// gaugeFrame is the SSE data payload for one sampled gauge observation:
-// the Figure-4 quantities of an in-flight run.
-type gaugeFrame struct {
-	Label       string  `json:"label,omitempty"`
-	Seq         uint64  `json:"seq"`   // publication ordinal within the run
-	SimS        float64 `json:"t_s"`   // simulated seconds
-	Cycle       int32   `json:"cycle"` // power-cycle index
-	VoltageV    float64 `json:"voltage_v"`
-	StoredUJ    float64 `json:"stored_uj"`
-	Live        int32   `json:"live"`
-	Gated       int32   `json:"gated"`
-	Dirty       int32   `json:"dirty"`
-	Level       int32   `json:"level"`
-	FPR         float64 `json:"fpr"`
-	ZombieRatio float64 `json:"zombie_ratio"`
-}
-
-// startSSE sends the headers of a Server-Sent Events response.
-func startSSE(w http.ResponseWriter, fl http.Flusher) {
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-}
-
-// writeEvent writes one SSE event whose data is v as JSON.
-func writeEvent(w io.Writer, fl http.Flusher, event string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-	fl.Flush()
-}
-
-// sampleRun polls lr's race-safe live gauge every runStreamInterval on a
-// dedicated goroutine and delivers each fresh sample on the returned
-// channel. The goroutine is bound to BOTH ctx and lr.done: when the client
-// disconnects mid-run, ctx cancellation tears it down even though the run
-// is still going (the unbuffered send also selects on ctx, so a reader
-// that left between frames cannot wedge it); when the run finishes first,
-// it flushes the final sample (short runs may complete between ticks) and
-// closes the channel. Either way the goroutine exits — an aborted stream
-// never leaks its sampler.
-func sampleRun(ctx context.Context, lr *liveRun) <-chan gaugeFrame {
-	frames := make(chan gaugeFrame)
-	go func() {
-		defer close(frames)
-		var lastSeq uint64
-		emit := func() bool {
-			sample, seq := lr.rec.LatestSample()
-			if seq == 0 || seq == lastSeq {
-				return true
-			}
-			lastSeq = seq
-			frame := gaugeFrame{
-				Label: lr.label, Seq: seq, SimS: sample.Time, Cycle: sample.Cycle,
-				VoltageV: sample.Voltage, StoredUJ: sample.Stored * 1e6,
-				Live: sample.Live, Gated: sample.Gated, Dirty: sample.Dirty,
-				Level: sample.Level, FPR: sample.FPR, ZombieRatio: sample.ZombieRatio,
-			}
-			select {
-			case frames <- frame:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		tick := time.NewTicker(runStreamInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-lr.done:
-				emit()
-				return
-			case <-tick.C:
-				if !emit() {
-					return
-				}
-			}
-		}
-	}()
-	return frames
 }

@@ -522,7 +522,7 @@ func Test5xxEmitsStructuredLog(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	rejected, err := http.Post(ts.URL+"/run?stream=1", "application/json",
+	rejected, err := http.Post(ts.URL+"/run", "application/json",
 		strings.NewReader(`{"app":"crc32","scheme":"edbp","scale":0.05}`))
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +530,7 @@ func Test5xxEmitsStructuredLog(t *testing.T) {
 	io.Copy(io.Discard, rejected.Body)
 	rejected.Body.Close()
 	if rejected.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("stream to a drained server = %d, want 503", rejected.StatusCode)
+		t.Fatalf("run on a drained server = %d, want 503", rejected.StatusCode)
 	}
 	tp, ok := span.ParseTraceparent(rejected.Header.Get(span.Header))
 	if !ok {

@@ -28,7 +28,7 @@ var ErrNoWorkers = errors.New("cluster: no live workers")
 // owner (see classify).
 type TerminalError struct {
 	Node   string
-	Status int    // HTTP status; 200 for a run stream's "error" frame
+	Status int    // HTTP status
 	Code   string // the error code, one of the Code constants
 	Msg    string
 }
@@ -37,24 +37,23 @@ func (e *TerminalError) Error() string {
 	return fmt.Sprintf("cluster: %s on %s (HTTP %d, code %q)", e.Msg, e.Node, e.Status, e.Code)
 }
 
-// Error codes: the "code" field of edbpd's error JSON (ErrorBody) and of a
-// run stream's "error" frame. They are stable API. The coordinator chooses
-// between backing off, retrying elsewhere and giving up from the HTTP
-// status and this code alone (classify), never from the message.
+// Error codes: the "code" field of edbpd's error JSON (ErrorBody). They are
+// stable API. The coordinator chooses between backing off, retrying
+// elsewhere and giving up from the HTTP status and this code alone
+// (classify), never from the message.
 const (
 	CodeBadRequest   = "bad_request"   // 4xx: the request or its config is invalid
 	CodeNotFound     = "not_found"     // 404: no such job, grid, worker or stored run
 	CodeQueueFull    = "queue_full"    // 503: the bounded queue is full; retry this node later
 	CodeDraining     = "draining"      // 503: the node is shutting down
 	CodeNoWorkers    = "no_workers"    // 503: a coordinator has no live worker for a grid
-	CodeRunFailed    = "run_failed"    // the simulation returned an error
-	CodeTimeout      = "timeout"       // the run hit its deadline or was canceled
-	CodeDrainAborted = "drain_aborted" // a drain gave up before the run finished
+	CodeRunFailed    = "run_failed"    // 500: the simulation returned an error
+	CodeTimeout      = "timeout"       // 504: the run hit its deadline or was canceled
+	CodeDrainAborted = "drain_aborted" // 503: a drain gave up before the run finished
 	CodeInternal     = "internal"      // any other failure on the server's side
 )
 
-// ErrorBody is edbpd's error JSON: the body of every error response and
-// the data of a run stream's "error" frame.
+// ErrorBody is edbpd's error JSON: the body of every error response.
 type ErrorBody struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`
@@ -80,10 +79,10 @@ const (
 )
 
 // classify maps a failed answer to a disposition. status is the HTTP
-// status, 200 for a run stream's "error" frame; code is the error code,
-// empty when the body was not edbpd's error JSON. A 5xx without a code
-// comes from something between the coordinator and the worker, such as
-// a proxy whose backend is gone, so the run moves elsewhere.
+// status; code is the error code, empty when the body was not edbpd's
+// error JSON. A 5xx without a code comes from something between the
+// coordinator and the worker, such as a proxy whose backend is gone, so
+// the run moves elsewhere.
 func classify(status int, code string) disposition {
 	switch {
 	case code == CodeQueueFull:
@@ -104,7 +103,6 @@ type Metrics struct {
 	Dispatches *obs.CounterVec // label: node — runs completed remotely
 	Retries    *obs.Counter    // re-dispatches after a worker failure
 	Deaths     *obs.Counter    // workers marked dead by a failed dispatch
-	Frames     *obs.Counter    // SSE gauge frames relayed from workers
 	Failed     *obs.Counter    // grid cells that ended failed
 }
 
@@ -123,12 +121,6 @@ func (m *Metrics) retried() {
 func (m *Metrics) died() {
 	if m != nil {
 		m.Deaths.Inc()
-	}
-}
-
-func (m *Metrics) framed() {
-	if m != nil {
-		m.Frames.Inc()
 	}
 }
 
@@ -181,18 +173,12 @@ func (c *Coordinator) submitBackoff() time.Duration {
 	return 50 * time.Millisecond
 }
 
-// EventFunc receives relayed SSE events from the worker running a
-// dispatched run: node is the worker id, event the SSE event name
-// ("gauge"), data the frame's JSON payload.
-type EventFunc func(node, event string, data []byte)
-
 // Execute runs one request body (a normalized edbpd run request) on the
 // worker owning key, retrying with exclusion when a worker fails rather
 // than the run (see classify). It returns the worker's Result JSON, the
 // id of the node that produced it, and how many workers were tried (>1
-// means the run survived at least one worker failure). onEvent, when
-// non-nil, receives the run's gauge frames while it is in flight.
-func (c *Coordinator) Execute(ctx context.Context, key string, body []byte, onEvent EventFunc) (json.RawMessage, string, int, error) {
+// means the run survived at least one worker failure).
+func (c *Coordinator) Execute(ctx context.Context, key string, body []byte) (json.RawMessage, string, int, error) {
 	excluded := make(map[string]bool)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -217,7 +203,7 @@ func (c *Coordinator) Execute(ctx context.Context, key string, body []byte, onEv
 			}
 			dctx = span.With(ctx, sp.Ctx())
 		}
-		raw, err := c.execOn(dctx, node, body, onEvent)
+		raw, err := c.execOn(dctx, node, body)
 		if err == nil {
 			sp.End()
 			c.Metrics.dispatched(node.ID)
@@ -232,7 +218,7 @@ func (c *Coordinator) Execute(ctx context.Context, key string, body []byte, onEv
 		if ctx.Err() != nil {
 			return nil, node.ID, attempt + 1, ctx.Err()
 		}
-		// The worker failed: it is unreachable, draining, or its stream
+		// The worker failed: it is unreachable, draining, or its answer
 		// was cut. Exclude it and let the next ring owner take the shard.
 		c.Members.MarkDead(node.ID)
 		c.Metrics.died()
@@ -258,14 +244,14 @@ func joinSorted(set map[string]bool) string {
 	return strings.Join(ids, ",")
 }
 
-// execOn runs body on one worker over a single POST /run?stream=1 and
-// returns the Result JSON of the stream's terminal "result" frame. While
-// the worker's queue is full it backs off and resubmits. An error is a
-// *TerminalError when the run would fail on any worker; any other error
+// execOn runs body on one worker over a single POST /run and returns the
+// Result JSON of its 200 answer. While the worker's queue is full it backs
+// off and resubmits. An error is a *TerminalError when the run would fail
+// on any worker; any other error, a cut or non-JSON 200 answer included,
 // is this worker's failure.
-func (c *Coordinator) execOn(ctx context.Context, node Node, body []byte, onEvent EventFunc) (json.RawMessage, error) {
+func (c *Coordinator) execOn(ctx context.Context, node Node, body []byte) (json.RawMessage, error) {
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/run?stream=1", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/run", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
@@ -277,15 +263,20 @@ func (c *Coordinator) execOn(ctx context.Context, node Node, body []byte, onEven
 		if err != nil {
 			return nil, fmt.Errorf("cluster: run on %s: %w", node.ID, err)
 		}
-		if resp.StatusCode == http.StatusOK {
-			result, err := c.readRun(node, resp.Body, onEvent)
-			resp.Body.Close()
-			return result, err
-		}
 		raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: run on %s: %w", node.ID, err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			if !json.Valid(raw) {
+				return nil, fmt.Errorf("cluster: run on %s: the answer is not JSON", node.ID)
+			}
+			// A grid keeps every cell's Result, so keep it at its own
+			// size rather than with ReadAll's spare capacity.
+			result := make(json.RawMessage, len(raw))
+			copy(result, raw)
+			return result, nil
 		}
 		e := parseErrorBody(raw)
 		switch classify(resp.StatusCode, e.Code) {
@@ -300,40 +291,5 @@ func (c *Coordinator) execOn(ctx context.Context, node Node, body []byte, onEven
 		default:
 			return nil, fmt.Errorf("cluster: run on %s: HTTP %d: %s", node.ID, resp.StatusCode, e.Error)
 		}
-	}
-}
-
-// readRun reads one run stream to its end: gauge frames go to onEvent,
-// counted, and the terminal "result" or "error" frame decides the
-// outcome. A stream that ends without a terminal frame means the
-// connection dropped or the worker died: that is the worker's failure.
-func (c *Coordinator) readRun(node Node, body io.Reader, onEvent EventFunc) (json.RawMessage, error) {
-	var (
-		result  json.RawMessage
-		failure *ErrorBody
-	)
-	ParseSSE(body, func(event string, data []byte) {
-		switch event {
-		case "gauge":
-			if onEvent != nil {
-				c.Metrics.framed()
-				onEvent(node.ID, event, data)
-			}
-		case "result":
-			result = data
-		case "error":
-			e := parseErrorBody(data)
-			failure = &e
-		}
-	})
-	switch {
-	case result != nil:
-		return result, nil
-	case failure == nil:
-		return nil, fmt.Errorf("cluster: run on %s: stream ended without a terminal frame", node.ID)
-	case classify(http.StatusOK, failure.Code) == giveUp:
-		return nil, &TerminalError{Node: node.ID, Status: http.StatusOK, Code: failure.Code, Msg: failure.Error}
-	default:
-		return nil, fmt.Errorf("cluster: run on %s: %s (code %q)", node.ID, failure.Error, failure.Code)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,15 +18,16 @@ import (
 )
 
 // stubWorker emulates the slice of edbpd's surface the coordinator uses:
-// POST /run?stream=1, answered with gauge frames and one terminal frame.
-// Every other request is logged and answered 404.
+// POST /run, answered after runDelay with one JSON body, the Result or
+// the error. Every other request is logged and answered 404.
 type stubWorker struct {
 	id string
 	ts *httptest.Server
 
 	runDelay      time.Duration
-	failCode      string       // non-empty: every run ends in an error frame with this code
-	cutStream     bool         // every stream ends without a complete terminal frame
+	failCode      string       // non-empty: every run fails with this code
+	cutAnswer     bool         // every result stops short of its Content-Length
+	notJSON       bool         // every 200 answer is not JSON
 	queueFullLeft atomic.Int32 // respond 503 queue_full this many times
 	runs          atomic.Int32 // runs actually executed
 	conns         atomic.Int32 // TCP connections accepted
@@ -76,11 +77,19 @@ func writeStubError(rw http.ResponseWriter, status int, code, msg string) {
 	json.NewEncoder(rw).Encode(ErrorBody{Error: msg, Code: code})
 }
 
+// runErrorStatus is the status edbpd answers a failed run's code with.
+var runErrorStatus = map[string]int{
+	CodeBadRequest:   http.StatusBadRequest,
+	CodeRunFailed:    http.StatusInternalServerError,
+	CodeTimeout:      http.StatusGatewayTimeout,
+	CodeDrainAborted: http.StatusServiceUnavailable,
+}
+
 func (w *stubWorker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	w.logRequest(r)
 	w.lastTraceparent.Store(r.Header.Get("traceparent"))
-	if r.URL.Query().Get("stream") == "" {
-		writeStubError(rw, http.StatusBadRequest, CodeBadRequest, "stub serves only ?stream=1")
+	if len(r.URL.Query()) > 0 {
+		writeStubError(rw, http.StatusBadRequest, CodeBadRequest, "POST /run takes no query parameter")
 		return
 	}
 	if w.queueFullLeft.Load() > 0 {
@@ -93,42 +102,31 @@ func (w *stubWorker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		writeStubError(rw, http.StatusBadRequest, CodeBadRequest, "bad body")
 		return
 	}
-	fl := rw.(http.Flusher)
-	rw.Header().Set("Content-Type", "text/event-stream")
-	rw.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	done := time.After(w.runDelay)
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	seq := 0
-	for running := true; running; {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-done:
-			running = false
-		case <-tick.C:
-			seq++
-			fmt.Fprintf(rw, "event: gauge\ndata: {\"node\":%q,\"seq\":%d}\n\n", w.id, seq)
-			fl.Flush()
-		}
+	select {
+	case <-r.Context().Done():
+		return
+	case <-time.After(w.runDelay):
 	}
 	w.runs.Add(1)
-	fmt.Fprintf(rw, "event: gauge\ndata: {\"node\":%q,\"seq\":%d,\"final\":true}\n\n", w.id, seq+1)
+	if w.failCode != "" {
+		writeStubError(rw, runErrorStatus[w.failCode], w.failCode, "stub simulation exploded")
+		return
+	}
 	result, _ := json.Marshal(map[string]any{"node": w.id, "app": req["app"], "seed": req["seed"]})
 	switch {
-	case w.cutStream:
-		// The connection drops mid-frame: the result's blank line never
-		// arrives.
-		fmt.Fprintf(rw, "event: result\ndata: %s\n", result)
-	case w.failCode != "":
-		data, _ := json.Marshal(ErrorBody{Error: "stub simulation exploded", Code: w.failCode})
-		fmt.Fprintf(rw, "event: error\ndata: %s\n\n", data)
+	case w.cutAnswer:
+		// The connection drops mid-body: the answer stops short of the
+		// length its header declares.
+		rw.Header().Set("Content-Length", strconv.Itoa(len(result)))
+		rw.WriteHeader(http.StatusOK)
+		rw.Write(result[:len(result)/2])
+	case w.notJSON:
+		rw.WriteHeader(http.StatusOK)
+		rw.Write([]byte("<html>upstream reset</html>"))
 	default:
-		fmt.Fprintf(rw, "event: result\ndata: %s\n\n", result)
+		rw.Header().Set("Content-Type", "application/json")
+		rw.Write(result)
 	}
-	fl.Flush()
 }
 
 func testFleet(t *testing.T, n int) (*Coordinator, []*stubWorker) {
@@ -161,7 +159,7 @@ func TestExecuteRoutesByRing(t *testing.T) {
 		t.Fatal("no owner")
 	}
 	for i := 0; i < 3; i++ {
-		raw, node, attempts, err := c.Execute(context.Background(), "some-config-hash", body, nil)
+		raw, node, attempts, err := c.Execute(context.Background(), "some-config-hash", body)
 		if err != nil {
 			t.Fatalf("execute: %v", err)
 		}
@@ -197,7 +195,7 @@ func TestExecuteRetryWithExclusion(t *testing.T) {
 	owner, _ := c.Members.Owner(key, nil)
 	findWorker(workers, owner.ID).ts.Close() // the owner is gone before dispatch
 
-	raw, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"aes","seed":2}`), nil)
+	raw, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"aes","seed":2}`))
 	if err != nil {
 		t.Fatalf("execute after owner death: %v", err)
 	}
@@ -235,7 +233,7 @@ func TestExecuteQueueFullBackoff(t *testing.T) {
 	busy := findWorker(workers, owner.ID)
 	busy.queueFullLeft.Store(3)
 
-	_, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"fft"}`), nil)
+	_, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"fft"}`))
 	if err != nil {
 		t.Fatalf("execute through full queue: %v", err)
 	}
@@ -257,7 +255,7 @@ func TestExecuteTerminalFailure(t *testing.T) {
 	for _, w := range workers {
 		w.failCode = CodeRunFailed
 	}
-	_, _, _, err := c.Execute(context.Background(), "some-key", []byte(`{"app":"crc32"}`), nil)
+	_, _, _, err := c.Execute(context.Background(), "some-key", []byte(`{"app":"crc32"}`))
 	var term *TerminalError
 	if err == nil || !errors.As(err, &term) {
 		t.Fatalf("err = %v, want TerminalError", err)
@@ -268,28 +266,29 @@ func TestExecuteTerminalFailure(t *testing.T) {
 	}
 }
 
-// TestExecuteErrorFrameTerminal: an "error" frame with a config code is a
-// *TerminalError carrying that code, and no other worker is asked.
+// TestExecuteErrorFrameTerminal: an error answer with a config code is a
+// *TerminalError carrying that code and status, and no other worker is
+// asked.
 func TestExecuteErrorFrameTerminal(t *testing.T) {
 	c, workers := testFleet(t, 3)
 	key := "bad-config-key"
 	owner, _ := c.Members.Owner(key, nil)
 	findWorker(workers, owner.ID).failCode = CodeBadRequest
 
-	_, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"crc32"}`), nil)
+	_, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"crc32"}`))
 	var term *TerminalError
 	if !errors.As(err, &term) {
 		t.Fatalf("err = %v, want TerminalError", err)
 	}
-	if term.Code != CodeBadRequest || term.Node != owner.ID {
-		t.Errorf("TerminalError = %+v, want code %q from %s", term, CodeBadRequest, owner.ID)
+	if term.Code != CodeBadRequest || term.Status != http.StatusBadRequest || term.Node != owner.ID {
+		t.Errorf("TerminalError = %+v, want 400 %q from %s", term, CodeBadRequest, owner.ID)
 	}
 	if node != owner.ID || attempts != 1 {
 		t.Errorf("node=%s attempts=%d, want %s/1", node, attempts, owner.ID)
 	}
 	for _, w := range workers {
 		if w.id != owner.ID && len(w.requestLog()) != 0 {
-			t.Errorf("%s was asked %v after a terminal error frame", w.id, w.requestLog())
+			t.Errorf("%s was asked %v after a terminal error answer", w.id, w.requestLog())
 		}
 	}
 	if n, ok := c.Members.Owner(key, nil); !ok || n.ID != owner.ID {
@@ -297,46 +296,71 @@ func TestExecuteErrorFrameTerminal(t *testing.T) {
 	}
 }
 
-// TestExecuteStreamCut: a stream that ends before its terminal frame is
-// complete is the worker's failure — it is marked dead and the next ring
-// owner runs the cell.
+// TestExecuteStreamCut: a 200 answer that is cut short of its
+// Content-Length or that is not JSON, like a 503 drain_aborted, is the
+// worker's failure — it is marked dead and the next ring owner runs the
+// cell. The broken answer never passes for a result.
 func TestExecuteStreamCut(t *testing.T) {
-	reg := obs.NewRegistry()
-	c, workers := testFleet(t, 3)
-	c.Metrics = &Metrics{Deaths: reg.Counter("deaths_total", ""), Retries: reg.Counter("retries_total", "")}
-	key := "cut-stream-key"
-	owner, _ := c.Members.Owner(key, nil)
-	victim := findWorker(workers, owner.ID)
-	victim.cutStream = true
-	next, _ := c.Members.Owner(key, map[string]bool{owner.ID: true})
+	for _, tc := range []struct {
+		name    string
+		breakIt func(*stubWorker)
+	}{
+		{"cut", func(w *stubWorker) { w.cutAnswer = true }},
+		{"not JSON", func(w *stubWorker) { w.notJSON = true }},
+		{"drain aborted", func(w *stubWorker) { w.failCode = CodeDrainAborted }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			c, workers := testFleet(t, 3)
+			c.Metrics = &Metrics{Deaths: reg.Counter("deaths_total", ""), Retries: reg.Counter("retries_total", "")}
+			key := "cut-answer-key"
+			owner, _ := c.Members.Owner(key, nil)
+			victim := findWorker(workers, owner.ID)
+			tc.breakIt(victim)
+			next, _ := c.Members.Owner(key, map[string]bool{owner.ID: true})
 
-	raw, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"aes","seed":3}`), nil)
+			raw, node, attempts, err := c.Execute(context.Background(), key, []byte(`{"app":"aes","seed":3}`))
+			if err != nil {
+				t.Fatalf("execute after a broken answer: %v", err)
+			}
+			if node != next.ID || attempts != 2 {
+				t.Fatalf("node=%s attempts=%d, want the next ring owner %s on attempt 2", node, attempts, next.ID)
+			}
+			var res struct {
+				Node string `json:"node"`
+			}
+			if json.Unmarshal(raw, &res) != nil || res.Node != next.ID {
+				t.Fatalf("result %s not from %s: the broken answer leaked through", raw, next.ID)
+			}
+			if victim.runs.Load() != 1 || len(victim.requestLog()) != 1 {
+				t.Errorf("victim ran %d times over %v, want one POST /run", victim.runs.Load(), victim.requestLog())
+			}
+			if c.Metrics.Deaths.Value() != 1 || c.Metrics.Retries.Value() != 1 {
+				t.Errorf("deaths=%g retries=%g, want 1 and 1", c.Metrics.Deaths.Value(), c.Metrics.Retries.Value())
+			}
+			if n, ok := c.Members.Owner(key, nil); !ok || n.ID == owner.ID {
+				t.Errorf("worker with the broken answer still owns the key: %+v ok=%v", n, ok)
+			}
+		})
+	}
+}
+
+// TestExecuteResultExactSize: the Result bytes Execute returns have no
+// spare capacity. A grid keeps every cell's Result, so io.ReadAll's
+// 512-byte buffer kept with each would stay resident on the coordinator.
+func TestExecuteResultExactSize(t *testing.T) {
+	c, _ := testFleet(t, 1)
+	raw, _, _, err := c.Execute(context.Background(), "sized-key", []byte(`{"app":"crc32","seed":1}`))
 	if err != nil {
-		t.Fatalf("execute after a cut stream: %v", err)
+		t.Fatalf("execute: %v", err)
 	}
-	if node != next.ID || attempts != 2 {
-		t.Fatalf("node=%s attempts=%d, want the next ring owner %s on attempt 2", node, attempts, next.ID)
-	}
-	var res struct {
-		Node string `json:"node"`
-	}
-	if json.Unmarshal(raw, &res) != nil || res.Node != next.ID {
-		t.Fatalf("result %s not from %s: the truncated result frame leaked through", raw, next.ID)
-	}
-	if victim.runs.Load() != 1 || len(victim.requestLog()) != 1 {
-		t.Errorf("victim ran %d times over %v, want one POST /run", victim.runs.Load(), victim.requestLog())
-	}
-	if c.Metrics.Deaths.Value() != 1 || c.Metrics.Retries.Value() != 1 {
-		t.Errorf("deaths=%g retries=%g, want 1 and 1", c.Metrics.Deaths.Value(), c.Metrics.Retries.Value())
-	}
-	if n, ok := c.Members.Owner(key, nil); !ok || n.ID == owner.ID {
-		t.Errorf("worker with the cut stream still owns the key: %+v ok=%v", n, ok)
+	if len(raw) == 0 || cap(raw) != len(raw) {
+		t.Errorf("result has len %d and cap %d, want them equal", len(raw), cap(raw))
 	}
 }
 
 // TestClassify pins the coordinator's response to every status and code
-// pair a worker (or something in front of it) can answer with. Status 200
-// stands for a run stream's "error" frame.
+// pair a worker (or something in front of it) can answer with.
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		status int
@@ -356,10 +380,7 @@ func TestClassify(t *testing.T) {
 		{http.StatusBadRequest, "", giveUp},
 		{http.StatusNotFound, CodeNotFound, giveUp},
 		{http.StatusUnprocessableEntity, CodeBadRequest, giveUp},
-		{http.StatusOK, CodeRunFailed, giveUp},
-		{http.StatusOK, CodeTimeout, giveUp},
-		{http.StatusOK, CodeBadRequest, giveUp},
-		{http.StatusOK, CodeDrainAborted, retryElsewhere},
+		{http.StatusServiceUnavailable, CodeDrainAborted, retryElsewhere},
 	}
 	for _, tc := range cases {
 		if got := classify(tc.status, tc.code); got != tc.want {
@@ -399,15 +420,14 @@ func TestExecuteOneRequestPerCell(t *testing.T) {
 // local fallback.
 func TestExecuteNoWorkers(t *testing.T) {
 	c := &Coordinator{Members: NewMembership(0, 16)}
-	_, _, _, err := c.Execute(context.Background(), "k", []byte(`{}`), nil)
+	_, _, _, err := c.Execute(context.Background(), "k", []byte(`{}`))
 	if err != ErrNoWorkers {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
 }
 
-// TestGridFanIn: a sharded grid completes every entry, relays gauge frames
-// wrapped with node+key provenance, emits one entry event per cell, and
-// terminates the hub with a done summary.
+// TestGridFanIn: a sharded grid completes every entry, each on its ring
+// owner, and hands every completed cell to onResult.
 func TestGridFanIn(t *testing.T) {
 	c, workers := testFleet(t, 2)
 	for _, w := range workers {
@@ -424,50 +444,13 @@ func TestGridFanIn(t *testing.T) {
 	g := c.StartGrid(context.Background(), "grid-1", entries, func(key string, res json.RawMessage) {
 		results.Store(key, res)
 	})
-	ch, cancel := g.Subscribe()
-	defer cancel()
-
-	var gauges, entryEvents, doneEvents int
-	timeout := time.After(10 * time.Second)
-	for {
-		var ev Event
-		var open bool
-		select {
-		case ev, open = <-ch:
-		case <-timeout:
-			t.Fatal("grid stream never finished")
-		}
-		if !open {
-			goto finished
-		}
-		switch ev.Type {
-		case "gauge":
-			var env gaugeEnvelope
-			if err := json.Unmarshal(ev.Data, &env); err != nil || env.Node == "" || env.Key == "" || len(env.Gauge) == 0 {
-				t.Fatalf("bad gauge envelope %s: %v", ev.Data, err)
-			}
-			gauges++
-		case "entry":
-			var st EntryStatus
-			if err := json.Unmarshal(ev.Data, &st); err != nil || st.Status != "done" {
-				t.Fatalf("bad entry event %s: %v", ev.Data, err)
-			}
-			entryEvents++
-		case "done":
-			var sum GridSummary
-			if err := json.Unmarshal(ev.Data, &sum); err != nil || sum.Done != 6 || sum.Failed != 0 {
-				t.Fatalf("bad done summary %s: %v", ev.Data, err)
-			}
-			doneEvents++
-		}
+	select {
+	case <-g.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("grid never finished")
 	}
-finished:
-	<-g.Done()
-	if gauges == 0 {
-		t.Error("no gauge frames relayed")
-	}
-	if entryEvents != 6 || doneEvents != 1 {
-		t.Errorf("entry events = %d, done events = %d; want 6 and 1", entryEvents, doneEvents)
+	if sum := g.Summary(); sum.Done != 6 || sum.Failed != 0 {
+		t.Fatalf("summary = %+v, want 6 done", sum)
 	}
 	for _, st := range g.Snapshot() {
 		if st.Status != "done" || st.Node == "" {
@@ -589,62 +572,4 @@ func TestWorkerLoop(t *testing.T) {
 	if leaves != 1 {
 		t.Errorf("leaves = %d, want 1", leaves)
 	}
-}
-
-// TestParseSSE: the parser handles multi-field events, default event
-// names, and multi-line data, and drops an event cut off before its
-// blank line.
-func TestParseSSE(t *testing.T) {
-	input := "event: gauge\ndata: {\"a\":1}\n\n" +
-		"data: plain\n\n" +
-		"event: done\ndata: {}\ndata: more\n\n" +
-		"event: result\ndata: {\"cut\":true}\n"
-	var got []string
-	ParseSSE(strings.NewReader(input), func(event string, data []byte) {
-		got = append(got, event+"|"+string(data))
-	})
-	want := []string{`gauge|{"a":1}`, "message|plain", "done|{}\nmore"}
-	if len(got) != len(want) {
-		t.Fatalf("events = %q, want %q", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("event %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-// TestHubLifecycle: cancel and close are idempotent and never deadlock;
-// late subscribers to a closed hub get an immediately closed channel.
-func TestHubLifecycle(t *testing.T) {
-	h := NewHub()
-	ch1, cancel1 := h.Subscribe()
-	ch2, cancel2 := h.Subscribe()
-	h.Emit(Event{Type: "x", Data: []byte("1")})
-	if ev := <-ch1; ev.Type != "x" {
-		t.Fatalf("sub1 got %+v", ev)
-	}
-	cancel1()
-	cancel1() // idempotent
-	if _, open := <-ch1; open {
-		t.Fatal("canceled subscriber channel still open")
-	}
-	if ev := <-ch2; ev.Type != "x" {
-		t.Fatalf("sub2 got %+v, want the broadcast x", ev)
-	}
-	h.Emit(Event{Type: "y", Data: []byte("2")})
-	if ev := <-ch2; ev.Type != "y" {
-		t.Fatalf("sub2 got %+v", ev)
-	}
-	h.Close()
-	h.Close()
-	if _, open := <-ch2; open {
-		t.Fatal("closed hub left subscriber open")
-	}
-	ch3, cancel3 := h.Subscribe()
-	if _, open := <-ch3; open {
-		t.Fatal("late subscriber to closed hub got an open channel")
-	}
-	cancel3()
-	cancel2()
 }

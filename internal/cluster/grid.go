@@ -23,16 +23,7 @@ type EntryStatus struct {
 	Error    string          `json:"error,omitempty"`
 }
 
-// gaugeEnvelope wraps a relayed worker frame with its provenance so a
-// fan-in subscriber can demultiplex the grid's interleaved streams.
-type gaugeEnvelope struct {
-	Node  string          `json:"node"`
-	Key   string          `json:"key"`
-	Gauge json.RawMessage `json:"gauge"`
-}
-
-// GridSummary is the terminal "done" event payload and the header of
-// GET /grid/{id} responses.
+// GridSummary is the header of GET /grid/{id} responses.
 type GridSummary struct {
 	ID      string `json:"id"`
 	Entries int    `json:"entries"`
@@ -49,7 +40,6 @@ type Grid struct {
 	mu      sync.Mutex
 	entries []*EntryStatus
 
-	hub  *Hub
 	done chan struct{}
 }
 
@@ -58,16 +48,13 @@ type Grid struct {
 // Entries are independent: one cell's failure never cancels the rest (the
 // grid is the unit a client retries, the cell is the unit the cluster
 // retries). onResult, when non-nil, observes each completed cell (the
-// coordinator feeds its own result cache with it). The grid's hub carries
-// the fan-in stream: "gauge" envelopes relayed from workers, one "entry"
-// event per terminal cell, and a final "done" summary before the hub
-// closes.
+// coordinator feeds its own result cache with it). Progress is read by
+// polling Summary and Snapshot; Done closes when every cell is terminal.
 func (c *Coordinator) StartGrid(ctx context.Context, id string, entries []GridEntry, onResult func(key string, result json.RawMessage)) *Grid {
 	gctx, cancel := context.WithCancel(ctx)
 	g := &Grid{
 		ID:      id,
 		entries: make([]*EntryStatus, len(entries)),
-		hub:     NewHub(),
 		done:    make(chan struct{}),
 	}
 	var wg sync.WaitGroup
@@ -78,18 +65,7 @@ func (c *Coordinator) StartGrid(ctx context.Context, id string, entries []GridEn
 		go func(e GridEntry, st *EntryStatus) {
 			defer wg.Done()
 			g.setStatus(st, func() { st.Status = "running" })
-			onEvent := func(node, event string, data []byte) {
-				if event != "gauge" {
-					return
-				}
-				env, err := json.Marshal(gaugeEnvelope{Node: node, Key: e.Key, Gauge: data})
-				if err != nil {
-					return
-				}
-				g.hub.Emit(Event{Type: "gauge", Data: env})
-			}
-			result, node, attempts, err := c.Execute(gctx, e.Key, e.Body, onEvent)
-			var terminal EntryStatus
+			result, node, attempts, err := c.Execute(gctx, e.Key, e.Body)
 			// A failed cell is counted under the grid lock, so whoever
 			// reads it failed (Summary, Done) reads it counted.
 			g.setStatus(st, func() {
@@ -103,23 +79,14 @@ func (c *Coordinator) StartGrid(ctx context.Context, id string, entries []GridEn
 					st.Status = "done"
 					st.Result = result
 				}
-				terminal = *st
 			})
 			if err == nil && onResult != nil {
 				onResult(e.Key, result)
-			}
-			if snap, mErr := json.Marshal(terminal); mErr == nil {
-				g.hub.Emit(Event{Type: "entry", Data: snap})
 			}
 		}(e, st)
 	}
 	go func() {
 		wg.Wait()
-		sum := g.Summary()
-		if data, err := json.Marshal(sum); err == nil {
-			g.hub.Emit(Event{Type: "done", Data: data})
-		}
-		g.hub.Close()
 		close(g.done)
 		cancel()
 	}()
@@ -166,6 +133,3 @@ func (g *Grid) Summary() GridSummary {
 
 // Done closes when every entry is terminal.
 func (g *Grid) Done() <-chan struct{} { return g.done }
-
-// Subscribe attaches a fan-in stream listener; see Hub.Subscribe.
-func (g *Grid) Subscribe() (<-chan Event, func()) { return g.hub.Subscribe() }

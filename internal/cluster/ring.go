@@ -14,11 +14,9 @@
 // that fails a dispatch for a reason other than the run itself — is
 // marked dead and excluded from the ring; runs in flight on it are
 // retried on the next owner (retry-with-exclusion). Each dispatched run
-// is one POST /run?stream=1: the worker queues it and answers with a
-// Server-Sent Events stream of the run's gauge frames and then exactly
-// one terminal "result" or "error" frame. A worker that dies mid-run
-// shows up as its stream ending without a terminal frame, and a grid's
-// gauge frames fan into a single stream for the whole grid.
+// is one POST /run: the worker queues it and answers with one JSON body,
+// the Result or the error. A worker that dies mid-run shows up as a
+// failed or cut answer, and a grid's progress is read by polling it.
 package cluster
 
 import (

@@ -35,7 +35,7 @@ func TestDispatchSpansOnRetry(t *testing.T) {
 	root := rec.Start(span.Context{}, "test-root")
 	ctx := span.With(context.Background(), root.Ctx())
 	body, _ := json.Marshal(map[string]any{"app": "crc32", "seed": 1})
-	_, node, attempts, err := c.Execute(ctx, key, body, nil)
+	_, node, attempts, err := c.Execute(ctx, key, body)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestDispatchSpansOnRetry(t *testing.T) {
 func TestDispatchDisabledSpansNoHeader(t *testing.T) {
 	c, workers := testFleet(t, 1)
 	body, _ := json.Marshal(map[string]any{"app": "crc32", "seed": 1})
-	if _, _, _, err := c.Execute(context.Background(), "somekey", body, nil); err != nil {
+	if _, _, _, err := c.Execute(context.Background(), "somekey", body); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
 	hdr, _ := workers[0].lastTraceparent.Load().(string)

@@ -311,6 +311,11 @@ func (c Config) normalize() (Config, error) {
 	if c.Scale == 0 {
 		c.Scale = 1.0
 	}
+	// Checked before Run records the kernel: the engine could not build a
+	// predictor for a scheme outside the enum.
+	if c.Scheme < Baseline || c.Scheme > Ideal {
+		return c, cfgErrf("Scheme", "%v is not one of the %d schemes", c.Scheme, len(Schemes))
+	}
 	if c.Capacitor == (energy.CapacitorConfig{}) {
 		c.Capacitor = energy.DefaultCapacitor()
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,6 +63,8 @@ func TestConfigRejections(t *testing.T) {
 		{"negative dynamic scale", func(c *Config) { c.CacheDynScale = -0.5 }, "CacheDynScale"},
 		{"predict I-cache without SRAM", func(c *Config) { c.PredictICache = true }, "PredictICache"},
 		{"predict I-cache under Ideal", func(c *Config) { c.Scheme = Ideal; c.ICacheSRAM = true; c.PredictICache = true }, "PredictICache"},
+		{"scheme past the enum", func(c *Config) { c.Scheme = Scheme(99) }, "Scheme"},
+		{"negative scheme", func(c *Config) { c.Scheme = Scheme(-1) }, "Scheme"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,6 +86,26 @@ func TestConfigRejections(t *testing.T) {
 				t.Errorf("unhelpful error string %q", ce.Error())
 			}
 		})
+	}
+}
+
+// TestSchemeRejectedBeforeRecording: a scheme outside the enum fails
+// before Run records the kernel. crc32 at scale 1.5, which no other test
+// here records, would allocate about 50 MB.
+func TestSchemeRejectedBeforeRecording(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, s := range []Scheme{Scheme(99), Scheme(-1), Ideal + 1} {
+		cfg := Default("crc32", s)
+		cfg.Scale = 1.5
+		var ce *ConfigError
+		if _, err := Run(cfg); !errors.As(err, &ce) || ce.Field != "Scheme" {
+			t.Errorf("Run under %v: error %v, want a Scheme *ConfigError", s, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 16 {
+		t.Errorf("the rejected schemes allocated %.1f MB: a kernel was recorded", mb)
 	}
 }
 

@@ -505,7 +505,7 @@ func buildPredictor(cfg Config, ways int) (predictor.Predictor, error) {
 	case Ideal:
 		return nil, fmt.Errorf("sim: Ideal is built by Run's two-pass driver, not buildPredictor")
 	default:
-		return nil, fmt.Errorf("sim: unknown scheme %v", cfg.Scheme)
+		return nil, cfgErrf("Scheme", "%v is not one of the %d schemes", cfg.Scheme, len(Schemes))
 	}
 }
 

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"math"
-	"runtime"
-	"sync/atomic"
 
 	"edbp/internal/metrics"
 )
@@ -43,70 +41,6 @@ type Recorder struct {
 	open       bool
 	cycleIdx   int32
 	lastCounts metrics.Counts
-
-	live liveGauge
-}
-
-// liveGauge publishes the most recent gauge sample through atomics so a
-// *different* goroutine (the sampler behind edbpd's POST /run?stream=1)
-// can watch an in-flight run. It is a seqlock built entirely from atomic operations:
-// seq is odd while a publish is in flight, and readers retry until they
-// observe the same even seq on both sides of the field copy, so a torn
-// sample is never returned and the race detector stays quiet. Publishing
-// is allocation-free (a handful of atomic stores), preserving the
-// recorder's zero-alloc steady state.
-type liveGauge struct {
-	seq atomic.Uint64 // odd = publish in flight; published count = seq/2
-
-	timeBits   atomic.Uint64 // Float64bits
-	voltBits   atomic.Uint64
-	storedBits atomic.Uint64
-	fprBits    atomic.Uint64
-	zombieBits atomic.Uint64
-	liveGated  atomic.Uint64 // uint32(Live)<<32 | uint32(Gated)
-	dirtyLevel atomic.Uint64 // uint32(Dirty)<<32 | uint32(Level)
-	cycle      atomic.Int64
-}
-
-func (l *liveGauge) publish(s *Sample) {
-	l.seq.Add(1)
-	l.timeBits.Store(math.Float64bits(s.Time))
-	l.voltBits.Store(math.Float64bits(s.Voltage))
-	l.storedBits.Store(math.Float64bits(s.Stored))
-	l.fprBits.Store(math.Float64bits(s.FPR))
-	l.zombieBits.Store(math.Float64bits(s.ZombieRatio))
-	l.liveGated.Store(uint64(uint32(s.Live))<<32 | uint64(uint32(s.Gated)))
-	l.dirtyLevel.Store(uint64(uint32(s.Dirty))<<32 | uint64(uint32(s.Level)))
-	l.cycle.Store(int64(s.Cycle))
-	l.seq.Add(1)
-}
-
-func (l *liveGauge) read() (Sample, uint64) {
-	for {
-		v1 := l.seq.Load()
-		if v1 == 0 {
-			return Sample{}, 0
-		}
-		if v1&1 == 1 {
-			runtime.Gosched()
-			continue
-		}
-		var s Sample
-		s.Time = math.Float64frombits(l.timeBits.Load())
-		s.Voltage = math.Float64frombits(l.voltBits.Load())
-		s.Stored = math.Float64frombits(l.storedBits.Load())
-		s.FPR = math.Float64frombits(l.fprBits.Load())
-		s.ZombieRatio = math.Float64frombits(l.zombieBits.Load())
-		lg := l.liveGated.Load()
-		s.Live, s.Gated = int32(uint32(lg>>32)), int32(uint32(lg))
-		dl := l.dirtyLevel.Load()
-		s.Dirty, s.Level = int32(uint32(dl>>32)), int32(uint32(dl))
-		s.Cycle = int32(l.cycle.Load())
-		if l.seq.Load() == v1 {
-			return s, v1 / 2
-		}
-		runtime.Gosched()
-	}
 }
 
 // NewRecorder builds a recorder. Both rings start empty and double as a
@@ -150,9 +84,6 @@ func (r *Recorder) StartRun() {
 	r.cur = CycleStats{}
 	r.open = true
 	r.lastCounts = metrics.Counts{}
-	// Invalidate the live gauge (seq 0 = nothing published); the gauge
-	// words themselves can stay stale because readers gate on seq.
-	r.live.seq.Store(0)
 	r.emit(KindCycleStart, 0, 0, 0)
 }
 
@@ -208,17 +139,6 @@ func (r *Recorder) AddSample(s Sample) {
 	} else {
 		r.sDropped++
 	}
-	r.live.publish(&s)
-}
-
-// LatestSample returns the most recently recorded gauge sample and the
-// count of samples published so far (0 means none yet: the returned
-// Sample is then the zero value). Unlike every other Recorder method it
-// is safe to call concurrently with the recording goroutine — edbpd's
-// run stream (POST /run?stream=1) polls it against an in-flight run. A StartRun
-// resets the count to zero.
-func (r *Recorder) LatestSample() (Sample, uint64) {
-	return r.live.read()
 }
 
 // ------------------------------------------------- subsystem hook sinks --

@@ -278,3 +278,26 @@ func TestRecorderFinishAfterOutageOverflow(t *testing.T) {
 		t.Fatalf("rest counts = %+v, want TN 3 FN 1", s.Rest.Counts)
 	}
 }
+
+// TestSummaryStringGolden pins the drop-count report line; edbpsim and
+// sim.Result.String print it verbatim.
+func TestSummaryStringGolden(t *testing.T) {
+	s := &Summary{
+		Events: 120, Dropped: 20,
+		Samples: 64, SamplesDropped: 3,
+		Cycles: make([]CycleStats, 7),
+	}
+	const want = "trace: 120 events (20 dropped), 64 samples (3 dropped), 7 cycles"
+	if got := s.String(); got != want {
+		t.Errorf("Summary.String drifted:\n got %q\nwant %q", got, want)
+	}
+	rest := CycleStats{Index: -1}
+	s.Rest = &rest
+	if got := s.String(); got != "trace: 120 events (20 dropped), 64 samples (3 dropped), 8 cycles" {
+		t.Errorf("Summary.String with overflow bucket drifted: %q", got)
+	}
+	var nilSum *Summary
+	if got := nilSum.String(); got != "trace: none" {
+		t.Errorf("nil Summary.String = %q", got)
+	}
+}

@@ -1,7 +1,7 @@
 // Package trace is the simulator's observability layer: a typed,
 // ring-buffered event recorder plus a periodic gauge sampler that together
 // make the power-failure timeline — the thing the paper's claims are about
-// — inspectable from a live run.
+// — inspectable for any run, after it ends.
 //
 // The paper's dynamics are temporal: zombie ratios spike as the capacitor
 // decays toward Vckpt (Figure 4), EDBP's FPR-driven adaptation reacts
