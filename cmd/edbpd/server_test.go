@@ -148,7 +148,7 @@ func TestRunValidation(t *testing.T) {
 		t.Errorf("%g rejected bodies were simulated", n)
 	}
 	// Nor was any kernel recorded: crc32 at scale 4 alone allocates about
-	// 130 MB.
+	// 76 MB.
 	runtime.ReadMemStats(&after)
 	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 64 {
 		t.Errorf("rejected bodies allocated %.0f MB: a trace was recorded", mb)

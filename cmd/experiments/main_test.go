@@ -10,7 +10,7 @@ import (
 
 // TestScaleRejectedBeforeRecording: every -scale workload.CheckScale
 // rejects fails with status 1 before any kernel is recorded (crc32 just
-// past the bound would allocate about 130 MB), and a valid one runs.
+// past the bound would allocate about 76 MB), and a valid one runs.
 func TestScaleRejectedBeforeRecording(t *testing.T) {
 	args := func(scale string) []string {
 		return []string{"-run", "fig6", "-apps", "crc32", "-seeds", "1", "-scale", scale}

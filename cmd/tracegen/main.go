@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			tr.DataBytes, len(tr.Events), len(tr.Regions), tr.Checksum)
 		for i := 0; i < *dump && i < len(tr.Events); i++ {
 			ev := tr.Events[i]
-			fmt.Fprintf(stdout, "  %4d op=%d arg=%#x\n", i, ev.Op, ev.Arg)
+			fmt.Fprintf(stdout, "  %4d op=%d arg=%#x\n", i, ev.Op(), ev.Arg())
 		}
 	}
 	return 0

@@ -39,11 +39,11 @@ func TestBatchedSteadyStateZeroAllocs(t *testing.T) {
 				rec = trace.NewRecorder(trace.Options{})
 			}
 			e := steadyEngineRec(t, tc.scheme, rec)
-			cols := e.trace.Columns()
+			events := e.trace.Events
 			const window = 64
 			lo := 0
 			next := func() {
-				if err := e.batchEvents(cols, lo, lo+window); err != nil {
+				if err := e.batchEvents(events, lo, lo+window); err != nil {
 					t.Fatal(err)
 				}
 				lo += window

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the engine's replay loop (DESIGN.md §7.1). It replays the
-// columnar trace one flush at a time: a tick chunk of up to tickChunk
+// packed event trace one flush at a time: a tick chunk of up to tickChunk
 // compute instructions, or the one instruction of a load, store, call or
 // return, each advance the clock and integrate leakage, MCU power, the
 // harvest and the capacitor, with the engine's hot state hoisted into a
@@ -280,19 +280,16 @@ func (e *engine) refreshPower(now float64) (p, pUntil float64) {
 
 // run replays the whole trace and finalizes the result.
 func (e *engine) run() (*Result, error) {
-	cols := e.trace.Columns()
-	if err := e.batchEvents(cols, 0, len(cols.Ops)); err != nil {
+	if err := e.batchEvents(e.trace.Events, 0, len(e.trace.Events)); err != nil {
 		return nil, err
 	}
 	return e.finish()
 }
 
-// batchEvents replays events [lo, hi) of the columnar trace. It may be
-// called repeatedly over adjacent ranges (the zero-alloc tests step it);
-// engine state is settled on every return.
-func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
-	ops, args := cols.Ops, cols.Args
-
+// batchEvents replays events [lo, hi) of the trace. It may be called
+// repeatedly over adjacent ranges (the zero-alloc tests step it); engine
+// state is settled on every return.
+func (e *engine) batchEvents(events []workload.Event, lo, hi int) error {
 	// Engine invariants hoisted to locals (the flattened cost model,
 	// minus the pointer chases).
 	var (
@@ -355,8 +352,8 @@ func (e *engine) batchEvents(cols *workload.Columns, lo, hi int) error {
 			if done != nil && i&cancelPollMask == 0 && e.pollCancel() {
 				break
 			}
-			op = ops[i]
-			arg = args[i]
+			ev := events[i]
+			op, arg = ev.Op(), ev.Arg()
 			switch op {
 			case workload.OpTick:
 				tickLeft = int(arg)

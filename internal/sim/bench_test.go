@@ -21,15 +21,15 @@ func benchTrace(b *testing.B) *workload.Trace {
 // op replays.
 const benchWindow = 64
 
-// benchWindows times steady-state batchEvents windows over the columnar
-// crc32@0.25 trace, the way TestBatchedSteadyStateZeroAllocs drives the
-// loop: an effectively infinite supply (no outages, no hibernation), a
-// warm-up outside the timer, and a fresh engine, also off the timer,
-// whenever the trace runs out. One op is one benchWindow-event window.
+// benchWindows times steady-state batchEvents windows over the crc32@0.25
+// trace, the way TestBatchedSteadyStateZeroAllocs drives the loop: an
+// effectively infinite supply (no outages, no hibernation), a warm-up
+// outside the timer, and a fresh engine, also off the timer, whenever the
+// trace runs out. One op is one benchWindow-event window.
 func benchWindows(b *testing.B, scheme Scheme, traced bool) {
 	const warm = 4096
 	var e *engine
-	var cols *workload.Columns
+	var events []workload.Event
 	lo := 0
 	fresh := func() {
 		var rec *tracepkg.Recorder
@@ -37,8 +37,8 @@ func benchWindows(b *testing.B, scheme Scheme, traced bool) {
 			rec = tracepkg.NewRecorder(tracepkg.Options{})
 		}
 		e = steadyEngineRec(b, scheme, rec)
-		cols = e.trace.Columns()
-		if err := e.batchEvents(cols, 0, warm); err != nil {
+		events = e.trace.Events
+		if err := e.batchEvents(events, 0, warm); err != nil {
 			b.Fatal(err)
 		}
 		lo = warm
@@ -47,12 +47,12 @@ func benchWindows(b *testing.B, scheme Scheme, traced bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if lo+benchWindow > len(cols.Ops) {
+		if lo+benchWindow > len(events) {
 			b.StopTimer()
 			fresh()
 			b.StartTimer()
 		}
-		if err := e.batchEvents(cols, lo, lo+benchWindow); err != nil {
+		if err := e.batchEvents(events, lo, lo+benchWindow); err != nil {
 			b.Fatal(err)
 		}
 		lo += benchWindow

@@ -12,10 +12,7 @@
 // mix — which real algorithm implementations provide directly.
 package workload
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Op is the kind of one trace event.
 type Op uint8
@@ -34,11 +31,33 @@ const (
 	OpLeave
 )
 
-// Event is one element of a recorded trace.
-type Event struct {
-	Op  Op
-	Arg uint32
+// Event is one element of a recorded trace, packed into one word: the op
+// in the low 3 bits and its argument in the upper 29.
+type Event uint32
+
+// opBits is the width of an Event's op field.
+const opBits = 3
+
+// MaxArg is the largest argument an Event holds. Mem.Tick splits a longer
+// run of ticks across events; data addresses and region indices stay far
+// below it.
+const MaxArg = 1<<(32-opBits) - 1
+
+// MakeEvent packs op and arg into one Event. An op or argument that does
+// not fit its field is a bug in the recording code, so it panics.
+func MakeEvent(op Op, arg uint32) Event {
+	if op >= 1<<opBits || arg > MaxArg {
+		panic(fmt.Sprintf("workload: event (op %d, arg %#x) does not fit 32 bits", op, arg))
+	}
+	return Event(arg<<opBits | uint32(op))
 }
+
+// Op returns the event's kind.
+func (e Event) Op() Op { return Op(e & (1<<opBits - 1)) }
+
+// Arg returns the event's argument: an instruction count, a byte address
+// or a region index, depending on Op.
+func (e Event) Arg() uint32 { return uint32(e >> opBits) }
 
 // Region describes a code region (a function or hot loop). Instruction
 // fetches are synthesised during replay: the PC advances 4 bytes per
@@ -54,7 +73,10 @@ type Region struct {
 // from 0, so code and data never collide in the 16 MB memory.
 const CodeBase = 0x0080_0000
 
-// Trace is the full recorded execution of one benchmark.
+// Trace is the full recorded execution of one benchmark. It is immutable
+// once recorded and shared by pointer: Cached hands the same Trace to
+// every run over one kernel and scale, so Events is the only copy of the
+// stream in the process.
 type Trace struct {
 	Name    string
 	Events  []Event
@@ -68,13 +90,11 @@ type Trace struct {
 	Checksum uint32
 	// DataBytes is the peak data footprint.
 	DataBytes uint32
-
-	// Lazily-built columnar (SoA) view of Events; see Columns. The Once
-	// makes a Trace non-copyable, which is right: traces are shared by
-	// pointer (they can be hundreds of MB of events).
-	colsOnce sync.Once
-	cols     *Columns
 }
+
+// Columns returns Events. The replay set-up in perfbench is its last
+// caller; it goes when that benchmark stops calling it.
+func (t *Trace) Columns() []Event { return t.Events }
 
 // MemOps returns loads+stores.
 func (t *Trace) MemOps() uint64 { return t.Loads + t.Stores }
@@ -141,7 +161,7 @@ func (m *Mem) NewRegion(name string, sizeBytes int) Region {
 }
 
 func (m *Mem) emit(op Op, arg uint32) {
-	m.events = append(m.events, Event{Op: op, Arg: arg})
+	m.events = append(m.events, MakeEvent(op, arg))
 }
 
 // Tick records n compute (ALU/branch) instructions.
@@ -150,10 +170,15 @@ func (m *Mem) Tick(n int) {
 		return
 	}
 	m.instr += uint64(n)
-	// Coalesce with a preceding tick to keep traces compact.
-	if last := len(m.events) - 1; last >= 0 && m.events[last].Op == OpTick {
-		m.events[last].Arg += uint32(n)
+	// Coalesce with a preceding tick to keep traces compact, while the sum
+	// fits an Event's argument; past MaxArg the ticks start a new event.
+	if last := len(m.events) - 1; last >= 0 && m.events[last].Op() == OpTick &&
+		uint64(m.events[last].Arg())+uint64(n) <= MaxArg {
+		m.events[last] += Event(n) << opBits
 		return
+	}
+	for ; n > MaxArg; n -= MaxArg {
+		m.emit(OpTick, MaxArg)
 	}
 	m.emit(OpTick, uint32(n))
 }
@@ -260,14 +285,17 @@ func (m *Mem) Store16(a uint32, v uint16) {
 func (m *Mem) LoadI32(a uint32) int32     { return int32(m.Load32(a)) }
 func (m *Mem) StoreI32(a uint32, v int32) { m.Store32(a, uint32(v)) }
 
-// Finish seals the recording into a Trace.
+// Finish seals the recording into a Trace. The trace's events are a copy
+// at their exact length, so no append slack outlives the recording.
 func (m *Mem) Finish(name string, checksum uint32) *Trace {
 	if m.depth != 0 {
 		panic(fmt.Sprintf("workload: %d unmatched Enter calls at Finish", m.depth))
 	}
+	events := make([]Event, len(m.events))
+	copy(events, m.events)
 	return &Trace{
 		Name:         name,
-		Events:       m.events,
+		Events:       events,
 		Regions:      m.regions,
 		Instructions: m.instr,
 		Loads:        m.loads,
