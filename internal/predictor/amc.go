@@ -46,6 +46,7 @@ type AMC struct {
 	lastTouched []uint64
 
 	windowCycles uint64
+	nextSweep    uint64 // the first multiple of sweepPeriod above windowCycles
 	sleepMisses  uint64
 	totalMisses  uint64
 	intervalNow  uint64
@@ -59,7 +60,9 @@ func NewAMC(cfg AMCConfig) (*AMC, error) {
 	if cfg.TargetLow < 0 || cfg.TargetHigh <= cfg.TargetLow {
 		return nil, fmt.Errorf("predictor: bad AMC target band [%g, %g]", cfg.TargetLow, cfg.TargetHigh)
 	}
-	return &AMC{cfg: cfg, intervalNow: cfg.Interval}, nil
+	a := &AMC{cfg: cfg, intervalNow: cfg.Interval}
+	a.nextSweep = a.sweepPeriod()
+	return a, nil
 }
 
 // Name implements Predictor.
@@ -92,18 +95,26 @@ func (a *AMC) AfterAccess(res cache.AccessResult) {
 func (a *AMC) Tick(cycles uint64) {
 	a.now += cycles
 	a.windowCycles += cycles
-	// Sweep for expired blocks at a coarse granularity (every 1/8 of the
-	// interval) — the hardware does this continuously with per-line
-	// counters; sweeping more often changes nothing observable.
-	if a.windowCycles%(a.intervalNow/8+1) < cycles {
+	// Sweep for expired blocks at a coarse granularity (whenever the window
+	// passes a multiple of sweepPeriod) — the hardware does this
+	// continuously with per-line counters; sweeping more often changes
+	// nothing observable. The deadline spares each Tick a division.
+	if a.windowCycles >= a.nextSweep {
 		a.sweep()
+		p := a.sweepPeriod()
+		a.nextSweep = (a.windowCycles/p + 1) * p
 	}
 	if a.windowCycles >= a.cfg.Window {
 		a.adapt()
 		a.windowCycles = 0
+		a.nextSweep = a.sweepPeriod()
 		a.sleepMisses, a.totalMisses = 0, 0
 	}
 }
+
+// sweepPeriod is the number of window cycles between sweeps: 1/8 of the
+// current interval, plus one.
+func (a *AMC) sweepPeriod() uint64 { return a.intervalNow/8 + 1 }
 
 func (a *AMC) sweep() {
 	c := a.env.Cache

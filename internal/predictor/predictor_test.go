@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"edbp/internal/cache"
+	"edbp/internal/xrand"
 )
 
 // testEnv builds a small cache plus a gate hook that records gatings.
@@ -263,4 +264,66 @@ func TestCombineFansOut(t *testing.T) {
 	comb.OnVoltage(3.3)
 	comb.OnCheckpoint()
 	comb.OnReboot()
+}
+
+// sweepCounter is a Sink that counts predictor sweeps.
+type sweepCounter struct{ n int }
+
+func (s *sweepCounter) PredictorSweep(int, uint64) { s.n++ }
+
+// TestAMCSweepSchedule drives AMC with seeded tick lengths (zero, below,
+// at and above the sweep period, and across window resets whose
+// adaptation doubles or halves the interval) and checks that it sweeps on
+// exactly the ticks where the window passes a multiple of the period
+// (interval/8 + 1): windowCycles%period < cycles, with windowCycles read
+// after the tick.
+func TestAMCSweepSchedule(t *testing.T) {
+	env, _, _ := testEnv(t, 4)
+	sink := &sweepCounter{}
+	env.Trace = sink
+	cfg := AMCConfig{Interval: 800, Window: 20000, TargetLow: 0.01, TargetHigh: 0.1, MinInterval: 100, MaxInterval: 1 << 14}
+	a, err := NewAMC(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Attach(env)
+	rng := xrand.New(7)
+	var window uint64
+	intervals := map[uint64]bool{}
+	for i := 0; i < 20000; i++ {
+		// Misses, all or none of them sleep misses, steer the adaptation
+		// up in some windows and down in others.
+		if i%500 == 0 {
+			wrong := (i/5000)%2 == 0
+			for k := 0; k < 40; k++ {
+				a.AfterAccess(cache.AccessResult{WrongKill: wrong})
+			}
+		}
+		var cycles uint64
+		switch r := rng.Intn(10); {
+		case r == 0:
+			cycles = 0
+		case r < 8:
+			cycles = uint64(rng.Intn(40))
+		default:
+			cycles = uint64(rng.Intn(3000))
+		}
+		period := a.Interval()/8 + 1
+		window += cycles
+		want := sink.n
+		if window%period < cycles {
+			want++
+		}
+		if window >= cfg.Window {
+			window = 0
+		}
+		a.Tick(cycles)
+		if sink.n != want {
+			t.Fatalf("tick %d (%d cycles, period %d): %d sweeps, want %d", i, cycles, period, sink.n, want)
+		}
+		intervals[a.Interval()] = true
+	}
+	if len(intervals) < 3 {
+		t.Errorf("the interval took %d values; the adaptation was not exercised", len(intervals))
+	}
 }
