@@ -17,10 +17,11 @@ import (
 // and the edit (bit 0: flip or truncate), bytes 1–2 the offset, byte 3
 // the bit to flip. Open must never panic, every Result that Get,
 // GetLatest, Select or RawByHash returns must equal the one written under
-// its key, anything else must be an error, and a store that opens takes a
-// new append. An Open that succeeds resizes a segment only to recover a
-// torn append (see cutAtTear). testdata/fuzz/FuzzOpen holds a flipped
-// WallTime digit in a sealed segment (1.25 read as 1.24).
+// its key, every WCET record that WCETs returns must equal one written,
+// anything else must be an error, and a store that opens takes a new
+// append. An Open that succeeds resizes a segment only to recover a torn
+// append (see cutAtTear). testdata/fuzz/FuzzOpen holds a flipped WallTime
+// digit in a sealed segment (1.25 read as 1.24).
 func FuzzOpen(f *testing.F) {
 	const maxSeg = 2048
 	base := f.TempDir()
@@ -55,6 +56,7 @@ func FuzzOpen(f *testing.F) {
 		}
 		want[k], wantRaw[k] = res, raw
 	}
+	wantWCET := s.WCETs(Filter{})
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -79,6 +81,9 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(len(segNames)-1)<<1 | 1, 100, 0, 0}) // a torn active tail
 	f.Add([]byte{1, 0, 0, 0})                              // segment 1 cut to nothing
+	// Segment 1's first record turned from kind 1 (a run) to kind 2 (a
+	// WCET record) by two bit flips.
+	f.Add([]byte{0, byte(len(segMagic)), 0, 0, 0, byte(len(segMagic)), 0, 1})
 
 	f.Fuzz(func(t *testing.T, edits []byte) {
 		files := map[string][]byte{}
@@ -148,7 +153,15 @@ func FuzzOpen(f *testing.F) {
 				check("Select", r.Key, r.Result)
 			}
 		}
-		s.WCETs(Filter{})
+		for _, w := range s.WCETs(Filter{}) {
+			written := false
+			for _, ww := range wantWCET {
+				written = written || reflect.DeepEqual(w, ww)
+			}
+			if !written {
+				t.Fatalf("WCETs returned %+v, a record never written", w)
+			}
+		}
 
 		extra := fakeResult("fft", sim.AMC, 99, 7)
 		k := KeyFor(extra.Config, "c2")
@@ -213,8 +226,9 @@ func cutAtTear(data []byte, size int) bool {
 		return size == len(segMagic)
 	}
 	off := len(segMagic)
+	v1 := bytes.HasPrefix(data, segMagicV1)
 	for off < size {
-		_, _, rest, ok := readFrame(data[off:])
+		_, _, rest, ok := readFrame(data[off:], v1)
 		if !ok {
 			return false
 		}

@@ -4,13 +4,18 @@
 // bound records keyed by (app, environment, commit).
 //
 // Layout (DESIGN.md §11): a store is a directory of numbered segment files
-// (000001.seg, 000002.seg, …). Every record is framed as
+// (000001.seg, 000002.seg, …), each opened by an 8-byte magic whose last
+// byte is the layout version. Every record is framed as
 //
-//	kind(1) | payloadLen(4, LE) | crc32(payload)(4, LE) | payload
+//	kind(1) | payloadLen(4, LE) | crc32(4, LE) | payload
 //
 // and appended to the highest-numbered (active) segment with a single
 // write; once the active segment exceeds MaxSegmentBytes the next append
-// opens a new one. Open indexes every segment by one CRC-checked scan,
+// opens a new one. In layout version 2 ("EDBPSTR2") the CRC covers the
+// kind, the length and the payload, so no altered byte of a frame reads
+// as another record. Version-1 segments ("EDBPSTR1"), whose CRC covers the
+// payload alone, are still read but never appended to: Open starts a new
+// segment after one. Open indexes every segment by one CRC-checked scan,
 // decoding only each result record's head (its key and append time). A
 // crash can only tear the final record: in the active segment, a short or
 // CRC-failing frame that runs to the end of the file is that tear, and the
@@ -142,9 +147,13 @@ const (
 // frameOverhead is kind + length + crc.
 const frameOverhead = 1 + 4 + 4
 
-// segMagic opens every segment file; the trailing byte is the layout
-// version.
-var segMagic = []byte("EDBPSTR1")
+// segMagic opens every segment file this package writes; the trailing
+// byte is the layout version. segMagicV1 opens segments of layout
+// version 1, which are read but not appended to.
+var (
+	segMagic   = []byte("EDBPSTR2")
+	segMagicV1 = []byte("EDBPSTR1")
+)
 
 // resultPayload is the JSON payload of a kindResult record.
 type resultPayload struct {
@@ -168,6 +177,7 @@ type entry struct {
 	seg  int
 	off  int64 // frame offset within the segment
 	len  int64 // payload length
+	v1   bool  // the segment has layout version 1
 }
 
 // runKey is Key minus the commit: figure reconstruction looks a config up
@@ -254,6 +264,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	n := segs[len(segs)-1]
+	if bytes.HasPrefix(data, segMagicV1) {
+		// Appends go to a version-2 segment only: a store written by an
+		// older build continues in a new one.
+		n++
+		if err := s.createSegment(n); err != nil {
+			return nil, err
+		}
+	}
 	f, err := os.OpenFile(filepath.Join(dir, segName(n)), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -277,8 +295,8 @@ func (s *Store) createSegment(n int) error {
 }
 
 // readFrame decodes one record frame from b; ok is false on a short or
-// corrupt (CRC-mismatching) frame.
-func readFrame(b []byte) (kind byte, payload, rest []byte, ok bool) {
+// corrupt (CRC-mismatching) frame. v1 selects the CRC of layout version 1.
+func readFrame(b []byte, v1 bool) (kind byte, payload, rest []byte, ok bool) {
 	if len(b) < frameOverhead {
 		return 0, nil, nil, false
 	}
@@ -289,10 +307,20 @@ func readFrame(b []byte) (kind byte, payload, rest []byte, ok bool) {
 		return 0, nil, nil, false
 	}
 	payload = b[frameOverhead : frameOverhead+int(n)]
-	if crc32.ChecksumIEEE(payload) != crc {
+	if frameCRC(b[:5], payload, v1) != crc {
 		return 0, nil, nil, false
 	}
 	return kind, payload, b[frameOverhead+int(n):], true
+}
+
+// frameCRC is the checksum a frame carries. In layout version 2 it covers
+// head (the frame's kind and length) and the payload; in version 1 the
+// payload alone.
+func frameCRC(head, payload []byte, v1 bool) uint32 {
+	if v1 {
+		return crc32.ChecksumIEEE(payload)
+	}
+	return crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload)
 }
 
 // reachesEOF reports whether the frame at the start of b runs to or past
@@ -303,12 +331,12 @@ func reachesEOF(b []byte) bool {
 		frameOverhead+uint64(binary.LittleEndian.Uint32(b[1:5])) >= uint64(len(b))
 }
 
-// appendFrame encodes one record frame.
+// appendFrame encodes one record frame of layout version 2.
 func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 	var hdr [frameOverhead]byte
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(hdr[5:9], frameCRC(hdr[:5], payload, false))
 	return append(append(dst, hdr[:]...), payload...)
 }
 
@@ -321,7 +349,8 @@ func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 // untouched.
 func (s *Store) scanSegment(n int, data []byte, active bool) error {
 	path := filepath.Join(s.dir, segName(n))
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != string(segMagic) {
+	v1 := bytes.HasPrefix(data, segMagicV1)
+	if !v1 && !bytes.HasPrefix(data, segMagic) {
 		if active && len(data) < len(segMagic) {
 			// A segment torn inside its 8-byte header holds no records;
 			// rewrite it clean.
@@ -336,7 +365,7 @@ func (s *Store) scanSegment(n int, data []byte, active bool) error {
 	off := int64(len(segMagic))
 	rest := data[off:]
 	for len(rest) > 0 {
-		kind, payload, next, ok := readFrame(rest)
+		kind, payload, next, ok := readFrame(rest, v1)
 		if !ok {
 			if active && !reachesEOF(rest) {
 				return fmt.Errorf("store: %s @%d: corrupt record with bytes after it (not a torn tail; the file is left as it is)", path, off)
@@ -350,7 +379,7 @@ func (s *Store) scanSegment(n int, data []byte, active bool) error {
 				return fmt.Errorf("store: %s @%d: result payload without data passed CRC", path, off)
 			}
 			heads = append(append(heads, payload[:i]...), '}', ',')
-			found = append(found, entry{seg: n, off: off, len: int64(len(payload))})
+			found = append(found, entry{seg: n, off: off, len: int64(len(payload)), v1: v1})
 		case kindWCET:
 			var w WCETRecord
 			if err := json.Unmarshal(payload, &w); err != nil {
@@ -509,7 +538,7 @@ func (s *Store) readRecord(e entry) (resultPayload, error) {
 	if _, err := f.ReadAt(buf, e.off); err != nil {
 		return rp, fmt.Errorf("store: reading %s @%d: %w", segName(e.seg), e.off, err)
 	}
-	kind, payload, _, ok := readFrame(buf)
+	kind, payload, _, ok := readFrame(buf, e.v1)
 	if !ok || kind != kindResult || int64(len(payload)) != e.len {
 		return rp, fmt.Errorf("store: %s @%d: record changed on disk since Open", segName(e.seg), e.off)
 	}
